@@ -180,8 +180,38 @@ let make_micro_tests () =
            seed := Int64.add !seed 1L;
            (run.exec ~max_rounds:1 ~record:false ~inputs ~seed:!seed ()).Ba_sim.Engine.rounds))
   in
+  (* The sampled plane's two layers at the ks-sparse benchmark's size
+     (n = 4096, degree 64): one sender's recipient draw into a reused buffer
+     — a fresh (round, sender) stream per call — and one whole sampled
+     round, CSR inbox build and recv included (DESIGN.md section 13). *)
+  let topology_draw =
+    let n = 4096 in
+    let ti = Ba_sim.Topology.instantiate (Ba_sim.Topology.Sampled { degree = 64 }) ~n ~seed:7L in
+    let buf = Array.make (Ba_sim.Topology.degree_bound ti) 0 in
+    let calls = ref 0 in
+    Test.make ~name:"topology/recipients-d64"
+      (Staged.stage (fun () ->
+           incr calls;
+           Ba_sim.Topology.recipients_into ti ~round:(1 + (!calls / n)) ~src:(!calls mod n) buf
+             ~pos:0))
+  in
+  let csr_round =
+    let n = 4096 in
+    let run =
+      Ba_experiments.Setups.make
+        ~protocol:(Ba_experiments.Setups.Ks_sample { degree = 64 })
+        ~adversary:Ba_experiments.Setups.Silent ~n ~t:0
+    in
+    let inputs = Ba_experiments.Setups.inputs Ba_experiments.Setups.Split ~n ~t:0 in
+    let seed = ref 0L in
+    Test.make ~name:"plane/csr-round-n4096"
+      (Staged.stage (fun () ->
+           seed := Int64.add !seed 1L;
+           (run.exec ~max_rounds:1 ~record:false ~inputs ~seed:!seed ()).Ba_sim.Engine.rounds))
+  in
   [ prng_bits; prng_int; coin_sum; coin_trial; engine_silent; engine_killer; engine_round;
-    engine_async_step; engine_async_step_batched; engine_async_round; model; sparse_round ]
+    engine_async_step; engine_async_step_batched; engine_async_round; model; sparse_round;
+    topology_draw; csr_round ]
 
 (* Returns the measured (name, ns/call) pairs, sorted by name. *)
 let run_micro ~quota_ms =

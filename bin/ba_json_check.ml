@@ -3,12 +3,15 @@
    `ba_sweep --workers` (suite "adaptive_ba_campaign_shard") — against the
    v1 schema. Used by the @smoke and @campaign-smoke aliases.
 
-   Usage: ba_json_check FILE [--require-pass]
+   Usage: ba_json_check FILE [--require-pass] [--same-payload BASELINE]
 
    Exit 0 iff the file parses, carries the expected schema_version, and
    every experiment entry has a well-formed id/verdict/metrics payload,
    with well-formed failure/shard-failure/crash records where present
-   (with --require-pass: additionally no verdict is "fail"). *)
+   (with --require-pass: additionally no verdict is "fail"; with
+   --same-payload: additionally every experiment in FILE has a
+   byte-identical entry, apart from its wall_seconds, in the suite document
+   BASELINE, at the same seed and profile). Used by @payload-identity. *)
 
 let fail fmt = Format.ksprintf (fun s -> prerr_endline ("ba_json_check: " ^ s); exit 1) fmt
 
@@ -239,30 +242,72 @@ let check_attack doc path =
           : int));
   Printf.printf "ba_json_check: %s ok (attack report, %d evaluations)\n" path evals
 
+let load path =
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  try Ba_harness.Json.of_string text
+  with Ba_harness.Json.Parse_error msg -> fail "%s: parse error: %s" path msg
+
+(* The payload-identity gate: an experiment's entry is its payload once the
+   run's wall_seconds is dropped, compared as printed JSON. *)
+let check_same_payload doc ~path ~baseline_path =
+  let base = load baseline_path in
+  List.iter
+    (fun field ->
+      let get d = Option.bind (Ba_harness.Json.member field d) Ba_harness.Json.to_str in
+      if get doc <> get base then fail "%s: %S differs from %s" path field baseline_path)
+    [ "seed"; "profile" ];
+  let entries d =
+    Option.value ~default:[]
+      (Option.bind (Ba_harness.Json.member "experiments" d) Ba_harness.Json.to_list)
+  in
+  let payload = function
+    | Ba_harness.Json.Obj fields ->
+        Ba_harness.Json.to_string (Ba_harness.Json.Obj (List.remove_assoc "wall_seconds" fields))
+    | j -> Ba_harness.Json.to_string j
+  in
+  let id e = Option.bind (Ba_harness.Json.member "id" e) Ba_harness.Json.to_str in
+  List.iter
+    (fun e ->
+      let name = Option.value ~default:"?" (id e) in
+      match List.find_opt (fun b -> id b = id e) (entries base) with
+      | None -> fail "%s: experiment %s is not in %s" path name baseline_path
+      | Some b when payload b <> payload e ->
+          fail "%s: experiment %s payload differs from %s" path name baseline_path
+      | Some _ -> ())
+    (entries doc);
+  Printf.printf "ba_json_check: %s payloads identical to %s (%d experiments)\n" path baseline_path
+    (List.length (entries doc))
+
 let () =
-  let path = ref None and require_pass = ref false in
-  Array.iteri
-    (fun i arg ->
-      if i > 0 then
-        match arg with
-        | "--require-pass" -> require_pass := true
-        | _ when !path = None -> path := Some arg
-        | _ -> fail "unexpected argument %S" arg)
-    Sys.argv;
+  let path = ref None and require_pass = ref false and baseline = ref None in
+  let rec parse = function
+    | [] -> ()
+    | "--require-pass" :: rest ->
+        require_pass := true;
+        parse rest
+    | "--same-payload" :: b :: rest ->
+        baseline := Some b;
+        parse rest
+    | arg :: rest when !path = None && arg <> "--same-payload" ->
+        path := Some arg;
+        parse rest
+    | arg :: _ -> fail "unexpected argument %S" arg
+  in
+  parse (List.tl (Array.to_list Sys.argv));
   let path =
     match !path with
     | Some p -> p
-    | None -> fail "usage: ba_json_check FILE [--require-pass]"
+    | None -> fail "usage: ba_json_check FILE [--require-pass] [--same-payload BASELINE]"
   in
-  let text = In_channel.with_open_bin path In_channel.input_all in
-  let doc =
-    try Ba_harness.Json.of_string text
-    with Ba_harness.Json.Parse_error msg -> fail "%s: parse error: %s" path msg
+  let doc = load path in
+  let suite_only () =
+    if !baseline <> None then fail "--same-payload applies to experiment suite documents only"
   in
   match Option.bind (Ba_harness.Json.member "suite" doc) Ba_harness.Json.to_str with
   | None -> fail "missing string field \"suite\""
   | Some suite when suite = Ba_harness.Checkpoint.suite_name -> (
       (* A per-shard campaign checkpoint: the library parser is the schema. *)
+      suite_only ();
       match Ba_harness.Checkpoint.of_json doc with
       | Ok ck ->
           Printf.printf "ba_json_check: %s ok (campaign shard %d/%d of %s, trials [%d, %d))\n"
@@ -271,7 +316,9 @@ let () =
             ck.Ba_harness.Checkpoint.ck_shard.Ba_harness.Campaign.s_lo
             ck.Ba_harness.Checkpoint.ck_shard.Ba_harness.Campaign.s_hi
       | Error msg -> fail "%s" msg)
-  | Some "adaptive_ba_attack" -> check_attack doc path
+  | Some "adaptive_ba_attack" ->
+      suite_only ();
+      check_attack doc path
   | Some _ ->
       (match
          Option.bind (Ba_harness.Json.member "schema_version" doc) Ba_harness.Json.to_int
@@ -294,4 +341,7 @@ let () =
           let seen =
             List.fold_left (check_experiment ~require_pass:!require_pass) [] entries
           in
-          Printf.printf "ba_json_check: %s ok (%d experiments)\n" path (List.length seen))
+          Printf.printf "ba_json_check: %s ok (%d experiments)\n" path (List.length seen);
+          Option.iter
+            (fun baseline_path -> check_same_payload doc ~path ~baseline_path)
+            !baseline)

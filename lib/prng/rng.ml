@@ -27,12 +27,11 @@ let int g bound =
        that fits, so every residue is equally likely. *)
     let bound64 = Int64.of_int bound in
     let cutoff = Int64.sub Int64.max_int (Int64.rem Int64.max_int bound64) in
-    let rec draw () =
-      let raw = Int64.shift_right_logical (bits64 g) 1 in
-      if Int64.compare raw cutoff >= 0 then draw ()
-      else Int64.to_int (Int64.rem raw bound64)
-    in
-    draw ()
+    let raw = ref (Int64.shift_right_logical (bits64 g) 1) in
+    while Int64.compare !raw cutoff >= 0 do
+      raw := Int64.shift_right_logical (bits64 g) 1
+    done;
+    Int64.to_int (Int64.rem !raw bound64)
   end
 
 let int_in_range g ~lo ~hi =

@@ -3,6 +3,10 @@
     256-bit state, period [2^256 - 1], passes BigCrush. Seeded via SplitMix64
     so that any [int64] seed produces a well-mixed initial state. *)
 
+(** The state is the four 64-bit words held unboxed in one 32-byte buffer,
+    so {!next} writes it back without allocating; only the returned
+    [int64] is boxed, and not even that where the call is inlined.
+    Streams are pinned by known-answer tests. *)
 type t
 
 (** [create seed] seeds the four state words from SplitMix64 on [seed]. *)

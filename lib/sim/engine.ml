@@ -23,6 +23,60 @@ type sharder = { s_shards : int; s_run : (unit -> unit) array -> unit }
 
 let sequential = { s_shards = 1; s_run = (fun thunks -> Array.iter (fun f -> f ()) thunks) }
 
+(* Fans [deliver lo hi] out over the sharder's shards as contiguous
+   recipient ranges; [deliver] runs on the calling domain and returns the
+   shard's thunk. *)
+let sharded sharder ~n deliver =
+  if sharder.s_shards > 1 && n > 1 then begin
+    let shards = min sharder.s_shards n in
+    let chunk = (n + shards - 1) / shards in
+    sharder.s_run
+      (Array.init shards (fun i -> deliver (i * chunk) (min (n - 1) (((i + 1) * chunk) - 1))))
+  end
+  else deliver 0 (n - 1) ()
+
+(* Restricted-topology inbox buffers (DESIGN.md §13), allocated once per run
+   and reused every round. A round has at most [n * (degree_bound + 1)]
+   deliveries: every sender's links plus an honest sender's self-delivery.
+
+   Pass 1 draws each sender's recipients into [c_dst], grouped by sender
+   ([c_seg.(v)] .. [c_seg.(v + 1)]), dropping dead or faulted-away links
+   in place, and counts in-degrees. Pass 2 prefix-sums the counts into
+   [c_off] and scatters the deliveries into the CSR arrays [c_srcs] /
+   [c_codes] / [c_msgs]: recipient [u]'s inbox is the slice
+   [c_off.(u)] .. [c_off.(u + 1)], src-ascending because senders are
+   visited in order. *)
+type 'msg csr = {
+  c_dst : int array;
+  c_seg : int array;
+  mutable c_pay : 'msg option array;
+      (** per-edge payloads of Byzantine or faulted senders, parallel to
+          [c_dst]; empty until a round first needs one. Honest edges share
+          the sender's own [Some] box from the round's broadcasts. *)
+  c_sender_code : int array;  (** each honest sender's packed code, encoded once *)
+  c_cur : int array;  (** in-degree counts, then scatter cursors *)
+  c_off : int array;
+  c_srcs : int array;
+  c_codes : int array option;  (** [Some] iff the protocol has a codec *)
+  c_msgs : 'msg option array;
+}
+
+let csr_create ~n ~codec ti =
+  let cap = n * (Topology.degree_bound ti + 1) in
+  { c_dst = Array.make cap 0;
+    c_seg = Array.make (n + 1) 0;
+    c_pay = [||];
+    c_sender_code = Array.make n Plane.absent;
+    c_cur = Array.make n 0;
+    c_off = Array.make (n + 1) 0;
+    c_srcs = Array.make cap 0;
+    c_codes = Option.map (fun _ -> Array.make cap Plane.absent) codec;
+    c_msgs = Array.make cap None }
+
+let csr_payloads c =
+  if Array.length c.c_pay = 0 then c.c_pay <- Array.make (Array.length c.c_dst) None;
+  c.c_pay
+
 let validate ~n ~t ~inputs =
   if t < 0 || t >= n then invalid_arg "Engine.run: need 0 <= t < n";
   if Array.length inputs <> n then invalid_arg "Engine.run: inputs length <> n";
@@ -44,8 +98,13 @@ let run ?max_rounds ?(record = false) ?congest_limit_bits ?faults ?(sharder = se
   (* The dense plan keeps the historical broadcast path bit-for-bit; a
      restricted plan (sampled / committee links) routes delivery through
      per-recipient sparse plane slices (DESIGN.md §13). *)
+  let codec = protocol.codec in
   let topo =
-    if Topology.is_dense topology then None else Some (Topology.instantiate topology ~n ~seed)
+    if Topology.is_dense topology then None
+    else begin
+      let ti = Topology.instantiate topology ~n ~seed in
+      Some (ti, csr_create ~n ~codec ti)
+    end
   in
   let master = Ba_prng.Rng.create seed in
   let node_rngs = Ba_prng.Rng.split_n master n in
@@ -63,7 +122,6 @@ let run ?max_rounds ?(record = false) ?congest_limit_bits ?faults ?(sharder = se
     | Some _ | None -> ()
   in
   let records = ref [] in
-  let codec = protocol.codec in
   (* One packed-code slab for the whole run, repacked in place each benign
      broadcast round (DESIGN.md section 10). *)
   let slab = Array.make (max n 1) Plane.absent in
@@ -150,111 +208,124 @@ let run ?max_rounds ?(record = false) ?congest_limit_bits ?faults ?(sharder = se
       if corrupted.(v) then corrupted_now := v :: !corrupted_now
     done;
     (match (topo, faults, !corrupted_now) with
-    | Some ti, _, _ ->
-        (* Restricted topology: per-recipient delivery lists, built entirely
-           on the calling domain in a single src-ascending pass — sampling,
-           Byzantine patching and fault draws all happen here, so outcomes
-           are byte-identical at any shard count. Each list is built
-           newest-head, then materialized back-to-front into sorted slices.
-           Byzantine traffic is constrained to the sender's sampled links:
-           corruption buys a node's slots in the topology, not extra edges
-           (DESIGN.md §13). *)
-        let inboxes = Array.make n [] in
-        let push ~src ~dst payload = inboxes.(dst) <- (src, payload) :: inboxes.(dst) in
+    | Some (ti, c), _, _ ->
+        (* Restricted topology: a two-pass CSR build (see [csr] above),
+           entirely on the calling domain and src-ascending — sampling,
+           Byzantine patching, fault draws and metering all happen in pass
+           1 in the per-link order, so outcomes are byte-identical at any
+           shard count. Byzantine traffic is constrained to the sender's
+           sampled links: corruption buys a node's slots in the topology,
+           not extra edges (DESIGN.md §13). *)
+        let dst = c.c_dst and cnt = c.c_cur in
+        Array.fill cnt 0 n 0;
+        let e = ref 0 in
+        let keep u =
+          dst.(!e) <- u;
+          cnt.(u) <- cnt.(u) + 1;
+          incr e
+        in
         for v = 0 to n - 1 do
+          c.c_seg.(v) <- !e;
           if corrupted.(v) then begin
-            let rs = Topology.recipients ti ~round:r ~src:v in
-            Array.iter
-              (fun u ->
-                if live u then begin
-                  let raw = action.byz_msg ~src:v ~dst:u in
-                  let m =
-                    match faults with
-                    | None -> raw
-                    | Some inst -> Faults.deliver inst ~metrics ~round:r ~src:v ~dst:u raw
-                  in
-                  match m with
-                  | Some p ->
-                      meter p ~byzantine:true;
-                      push ~src:v ~dst:u p
-                  | None -> ()
-                end)
-              rs
+            let pay = csr_payloads c in
+            let lo = !e in
+            let k = Topology.recipients_into ti ~round:r ~src:v dst ~pos:lo in
+            for i = lo to lo + k - 1 do
+              let u = dst.(i) in
+              if live u then begin
+                let raw = action.byz_msg ~src:v ~dst:u in
+                let m =
+                  match faults with
+                  | None -> raw
+                  | Some inst -> Faults.deliver inst ~metrics ~round:r ~src:v ~dst:u raw
+                in
+                match m with
+                | Some p ->
+                    meter p ~byzantine:true;
+                    pay.(!e) <- m;
+                    keep u
+                | None -> ()
+              end
+            done
           end
           else if live v then
             match honest_msgs.(v) with
-            | Some p -> (
+            | Some p as m -> (
                 (* a node always hears itself, unmetered — as on the dense
                    plane *)
-                push ~src:v ~dst:v p;
-                let rs = Topology.recipients ti ~round:r ~src:v in
+                let self = !e in
+                keep v;
+                let k = Topology.recipients_into ti ~round:r ~src:v dst ~pos:!e in
+                let lo = !e in
                 match faults with
                 | None ->
-                    let copies = ref 0 in
-                    Array.iter
-                      (fun u ->
-                        if live u then begin
-                          push ~src:v ~dst:u p;
-                          incr copies
-                        end)
-                      rs;
-                    if !copies > 0 then begin
+                    for i = lo to lo + k - 1 do
+                      if live dst.(i) then keep dst.(i)
+                    done;
+                    let copies = !e - lo in
+                    if copies > 0 then begin
                       let bits = protocol.msg_bits p in
                       Metrics.record_broadcast metrics ~bits ~words:(protocol.msg_words p)
-                        ~copies:!copies ~byzantine:false;
+                        ~copies ~byzantine:false;
                       match congest_limit_bits with
                       | Some limit when bits > limit ->
-                          Metrics.record_congest_violations metrics !copies
+                          Metrics.record_congest_violations metrics copies
                       | Some _ | None -> ()
-                    end
+                    end;
+                    c.c_sender_code.(v) <-
+                      (match codec with Some enc -> enc p | None -> Plane.absent)
                 | Some inst ->
-                    Array.iter
-                      (fun u ->
-                        if live u then
-                          match Faults.deliver inst ~metrics ~round:r ~src:v ~dst:u (Some p) with
-                          | Some p' ->
-                              meter p' ~byzantine:false;
-                              push ~src:v ~dst:u p'
-                          | None -> ())
-                      rs)
+                    let pay = csr_payloads c in
+                    pay.(self) <- m;
+                    for i = lo to lo + k - 1 do
+                      let u = dst.(i) in
+                      if live u then
+                        match Faults.deliver inst ~metrics ~round:r ~src:v ~dst:u m with
+                        | Some p' as m' ->
+                            meter p' ~byzantine:false;
+                            pay.(!e) <- m';
+                            keep u
+                        | None -> ()
+                    done)
             | None -> ()
         done;
-        let plane_of u =
-          let entries = inboxes.(u) in
-          let len = List.length entries in
-          let srcs = Array.make len 0 in
-          let msgs = Array.make len None in
-          let codes = match codec with Some _ -> Some (Array.make len Plane.absent) | None -> None
-          in
-          let k = ref len in
-          List.iter
-            (fun (s, p) ->
-              decr k;
-              srcs.(!k) <- s;
-              msgs.(!k) <- Some p;
-              match (codes, codec) with
-              | Some cs, Some enc -> cs.(!k) <- enc p
-              | (Some _ | None), _ -> ())
-            entries;
-          Plane.sparse_slice ?codes ~n ~srcs ~msgs ~lo:0 ~hi:len ()
-        in
-        let deliver_range lo hi =
-          for u = lo to hi do
-            if live u then
-              new_states.(u) <- protocol.recv (ctx_of u) states.(u) ~round:r ~inbox:(plane_of u)
+        c.c_seg.(n) <- !e;
+        let off = c.c_off and srcs = c.c_srcs and msgs = c.c_msgs in
+        for u = 0 to n - 1 do
+          off.(u + 1) <- off.(u) + cnt.(u);
+          cnt.(u) <- off.(u)
+        done;
+        for v = 0 to n - 1 do
+          let lo = c.c_seg.(v) and hi = c.c_seg.(v + 1) in
+          let per_edge = corrupted.(v) || Option.is_some faults in
+          let m = honest_msgs.(v) and code = c.c_sender_code.(v) in
+          for i = lo to hi - 1 do
+            let u = dst.(i) in
+            let k = cnt.(u) in
+            cnt.(u) <- k + 1;
+            srcs.(k) <- v;
+            if per_edge then begin
+              let m = c.c_pay.(i) in
+              msgs.(k) <- m;
+              match (c.c_codes, codec, m) with
+              | Some codes, Some enc, Some p -> codes.(k) <- enc p
+              | _ -> ()
+            end
+            else begin
+              msgs.(k) <- m;
+              match c.c_codes with Some codes -> codes.(k) <- code | None -> ()
+            end
           done
-        in
-        if sharder.s_shards > 1 && n > 1 then begin
-          let shards = min sharder.s_shards n in
-          let chunk = (n + shards - 1) / shards in
-          let thunks =
-            Array.init shards (fun i ->
-                let lo = i * chunk and hi = min (n - 1) (((i + 1) * chunk) - 1) in
-                fun () -> deliver_range lo hi)
-          in
-          sharder.s_run thunks
-        end
-        else deliver_range 0 (n - 1)
+        done;
+        sharded sharder ~n (fun lo hi () ->
+            for u = lo to hi do
+              if live u then
+                new_states.(u) <-
+                  protocol.recv (ctx_of u) states.(u) ~round:r
+                    ~inbox:
+                      (Plane.sparse_slice ?codes:c.c_codes ~n ~srcs ~msgs ~lo:off.(u)
+                         ~hi:off.(u + 1) ())
+            done)
     | None, None, [] ->
         let live_recipients = ref 0 in
         for v = 0 to n - 1 do
@@ -276,24 +347,13 @@ let run ?max_rounds ?(record = false) ?congest_limit_bits ?faults ?(sharder = se
           | None -> ()
         done;
         let plane = Plane.shared ?encode:codec ~slab honest_msgs in
-        let deliver_range plane lo hi =
-          for u = lo to hi do
-            if live u then
-              new_states.(u) <- protocol.recv (ctx_of u) states.(u) ~round:r ~inbox:plane
-          done
-        in
-        if sharder.s_shards > 1 && n > 1 then begin
-          let shards = min sharder.s_shards n in
-          let chunk = (n + shards - 1) / shards in
-          let thunks =
-            Array.init shards (fun i ->
-                let lo = i * chunk and hi = min (n - 1) (((i + 1) * chunk) - 1) in
-                let view = Plane.shard_view plane in
-                fun () -> deliver_range view lo hi)
-          in
-          sharder.s_run thunks
-        end
-        else deliver_range plane 0 (n - 1)
+        sharded sharder ~n (fun lo hi ->
+            let view = Plane.shard_view plane in
+            fun () ->
+              for u = lo to hi do
+                if live u then
+                  new_states.(u) <- protocol.recv (ctx_of u) states.(u) ~round:r ~inbox:view
+              done)
     | None, None, cs ->
         for u = 0 to n - 1 do
           if live u then begin

@@ -14,9 +14,13 @@
     Under a restricted {!Topology} (sampled or committee links) a
     recipient's inbox is instead a {e sparse slice}: the sorted list of
     senders whose per-round recipient set contained it, with packed codes
-    and boxed payloads stored per delivery. Tally kernels on a slice cost
-    O(in-degree) rather than O(n) — the sublinear-communication plane of
-    DESIGN.md §13.
+    and boxed payloads stored per delivery, in the engine's reused CSR
+    arrays. Tally kernels on a slice cost O(in-degree) rather than O(n) —
+    the sublinear-communication plane of DESIGN.md §13.
+
+    Lifetime: every plane the engine hands to [Protocol.recv] is valid
+    only during that call; its arrays are shared with other recipients or
+    reused by the next round. Keep payloads, never the plane.
 
     A protocol opts into the packed kernels by providing a
     [Protocol.t.codec] built from {!code}; protocols with payloads that
@@ -62,8 +66,10 @@ val shared : ?encode:('msg -> int) -> slab:int array -> 'msg option array -> 'ms
     sender id (strictly ascending within the slice), [msgs.(k)] its boxed
     payload, and [codes.(k)] (when the protocol has a codec) its packed
     code. [n] is the sender-id space and becomes {!length}. The arrays are
-    not copied; the engine builds them once per round and never mutates a
-    published slice. Kernels scan only the slice; {!get} binary-searches it;
+    not copied: the engine allocates them once per run and refills them
+    every round (DESIGN.md §13), so a slice is valid only during the
+    [Protocol.recv] call it is handed to, and nobody mutates it during that
+    call. Kernels scan only the slice; {!get} binary-searches it;
     {!iteri} visits {e delivered} slots only (a sparse inbox has no
     meaningful "absent slot" enumeration).
     @raise Invalid_argument if the slice bounds are bad or the arrays have

@@ -34,10 +34,14 @@ type ('state, 'msg) t = {
       (** broadcast payload for this round; [None] = silent this round *)
   recv : ctx -> 'state -> round:int -> inbox:'msg Plane.t -> 'state;
       (** [Plane.get inbox v] is the message received from node [v] (None if
-          silent or halted); slot [me] is the node's own broadcast. The
-          plane is only valid for the duration of the call — in benign
-          rounds it is shared between recipients (and possibly domains), so
-          [recv] must not capture it or mutate anything reachable from it. *)
+          silent or halted); slot [me] is the node's own broadcast.
+          Inbox lifetime: the plane is valid only during the [recv] call
+          that receives it. In benign dense rounds it is shared between
+          recipients (and possibly domains); under a restricted topology it
+          is a slice of the engine's per-run inbox arrays, which the next
+          round overwrites. So [recv] must not retain the plane (payloads
+          read from it may be kept) or mutate anything reachable from it.
+          No [recv] in this library retains its inbox. *)
   output : 'state -> int option;  (** the decided value, once decided *)
   halted : 'state -> bool;  (** node has left the protocol *)
   msg_bits : 'msg -> int;  (** payload size for CONGEST accounting *)

@@ -21,6 +21,11 @@ type plan =
       (** node [v] sits in committee [v mod count] and reaches its own
           committee plus the designated committee [(round - 1) mod count] *)
 
+(** An instantiated topology. Besides the seed-derived salt it carries the
+    sampler's scratch (sampled plans only: an [n]-slot stamped mark array
+    and the [degree]-slot buffer of its sort), so drawing from a [t]
+    mutates it: draw from one domain at a time. The engine draws every
+    recipient set on its calling domain. *)
 type t
 
 val plan_name : plan -> string
@@ -39,8 +44,20 @@ val instantiate : plan -> n:int -> seed:int64 -> t
 (** Upper bound on any sender's per-round out-degree — buffer sizing. *)
 val degree_bound : t -> int
 
-(** [recipients t ~round ~src] — the distinct, sorted-ascending recipient
-    set of [src] in [round], never containing [src] itself (self-delivery is
-    the engine's job). A fresh array per call.
+(** [recipients_into t ~round ~src into ~pos] writes the recipient set of
+    [src] in [round] into [into.(pos)] .. [into.(pos + k - 1)] and returns
+    [k]: distinct, sorted ascending, never containing [src] itself
+    (self-delivery is the engine's job). Allocation-free apart from the
+    per-(round, sender) sampling stream, so a caller can draw a whole round
+    into one flat buffer. Sampled sets are drawn by rejection against the
+    stamped mark array (a partial Fisher–Yates when [degree] is at least
+    half of [n - 1]) and sorted in place: insertion sort up to 16 values,
+    an int radix sort above.
+    @raise Invalid_argument if [round < 1], [src] is out of range, or fewer
+    than {!degree_bound} slots follow [pos]. *)
+val recipients_into : t -> round:int -> src:int -> int array -> pos:int -> int
+
+(** [recipients t ~round ~src] — the same set as {!recipients_into}, in a
+    fresh array of exactly its length.
     @raise Invalid_argument if [round < 1] or [src] is out of range. *)
 val recipients : t -> round:int -> src:int -> int array

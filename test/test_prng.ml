@@ -29,6 +29,29 @@ let test_xoshiro_deterministic () =
     check Alcotest.int64 "same stream" (Ba_prng.Xoshiro256.next a) (Ba_prng.Xoshiro256.next b)
   done
 
+(* Known-answer streams, recorded from the record-of-int64 generator before
+   the state moved into an unboxed byte buffer: any change of representation
+   must reproduce them exactly (comparing two generators with each other, as
+   above, cannot catch a changed stream). *)
+let test_xoshiro_known_answers () =
+  let g = Ba_prng.Xoshiro256.create 99L in
+  List.iter
+    (fun expected ->
+      check Alcotest.int64 "xoshiro256 seed 99" expected (Ba_prng.Xoshiro256.next g))
+    [ 3203889483597872772L; -3691788902201691642L; 9015637045045855940L ];
+  let j = Ba_prng.Xoshiro256.create 3L in
+  Ba_prng.Xoshiro256.jump j;
+  List.iter
+    (fun expected ->
+      check Alcotest.int64 "xoshiro256 seed 3 after jump" expected (Ba_prng.Xoshiro256.next j))
+    [ 8444771174008061768L; -2503296496777233976L ]
+
+let test_rng_known_answers () =
+  let g = Ba_prng.Rng.create 2026L in
+  check Alcotest.int64 "bits64 #1" 7876778575317408663L (Ba_prng.Rng.bits64 g);
+  check Alcotest.int64 "bits64 #2" (-7118796514580383833L) (Ba_prng.Rng.bits64 g);
+  Alcotest.(check int) "int 1000" 926 (Ba_prng.Rng.int g 1000)
+
 let test_xoshiro_jump_disjoint () =
   let a = Ba_prng.Xoshiro256.create 3L in
   let b = Ba_prng.Xoshiro256.copy a in
@@ -167,9 +190,11 @@ let () =
          Alcotest.test_case "split independent" `Quick test_splitmix_split_independent ]);
       ("xoshiro256",
        [ Alcotest.test_case "deterministic" `Quick test_xoshiro_deterministic;
+         Alcotest.test_case "known answers" `Quick test_xoshiro_known_answers;
          Alcotest.test_case "jump is disjoint" `Quick test_xoshiro_jump_disjoint ]);
       ("rng",
-       [ Alcotest.test_case "copy preserves stream" `Quick test_rng_copy_same_stream;
+       [ Alcotest.test_case "known answers" `Quick test_rng_known_answers;
+         Alcotest.test_case "copy preserves stream" `Quick test_rng_copy_same_stream;
          Alcotest.test_case "int bounds" `Quick test_int_bounds;
          Alcotest.test_case "int uniform (chi2)" `Quick test_int_uniform_chi2;
          Alcotest.test_case "float range" `Quick test_float_range;

@@ -246,6 +246,144 @@ let test_topology_recipients () =
          <> Topology.recipients other_seed ~round ~src:11)
        [ 1; 2; 3; 4; 5 ])
 
+(* Pinned on the list-and-hashtable sampler this one replaced. *)
+let test_topology_known_answer () =
+  let ti = Topology.instantiate (Topology.Sampled { degree = 64 }) ~n:4096 ~seed:1L in
+  let r = Topology.recipients ti ~round:3 ~src:11 in
+  Alcotest.(check (list int)) "first five" [ 136; 137; 166; 192; 247 ]
+    (Array.to_list (Array.sub r 0 5));
+  Alcotest.(check int) "recipient sum" 138027 (Array.fold_left ( + ) 0 r)
+
+(* The sampler as it stood before the buffer-filling rewrite, kept as the
+   reference: a fresh array per call, linear-scan membership for
+   k <= 16, a Hashtbl above, a partial Fisher-Yates when near-dense, and
+   polymorphic sorts. The salt derivation mirrors [Topology.instantiate]. *)
+module Old_sampler = struct
+  let mix = Ba_prng.Splitmix64.mix
+
+  let sample_distinct rng ~k ~bound ~skip =
+    if k = 0 then [||]
+    else if 2 * k >= bound - 1 then begin
+      let all = Array.make (bound - 1) 0 in
+      let idx = ref 0 in
+      for v = 0 to bound - 1 do
+        if v <> skip then begin
+          all.(!idx) <- v;
+          incr idx
+        end
+      done;
+      for i = 0 to k - 1 do
+        let j = i + Ba_prng.Rng.int rng (bound - 1 - i) in
+        let tmp = all.(i) in
+        all.(i) <- all.(j);
+        all.(j) <- tmp
+      done;
+      let out = Array.sub all 0 k in
+      Array.sort compare out;
+      out
+    end
+    else begin
+      let out = Array.make k 0 in
+      let filled = ref 0 in
+      let seen = if k > 16 then Some (Hashtbl.create (4 * k)) else None in
+      while !filled < k do
+        let raw = Ba_prng.Rng.int rng (bound - 1) in
+        let x = if raw >= skip then raw + 1 else raw in
+        let dup =
+          match seen with
+          | Some h -> Hashtbl.mem h x
+          | None -> Array.exists (fun y -> y = x) (Array.sub out 0 !filled)
+        in
+        if not dup then begin
+          (match seen with Some h -> Hashtbl.add h x () | None -> ());
+          out.(!filled) <- x;
+          incr filled
+        end
+      done;
+      Array.sort compare out;
+      out
+    end
+
+  let recipients plan ~n ~seed ~round ~src =
+    match plan with
+    | Topology.Dense -> Array.init (n - 1) (fun i -> if i >= src then i + 1 else i)
+    | Topology.Sampled { degree } ->
+        let salt = mix (Int64.add (mix seed) 0x70B0_106FL) in
+        let h = mix (Int64.add salt (Int64.of_int round)) in
+        let rng = Ba_prng.Rng.create (mix (Int64.add h (Int64.of_int src))) in
+        sample_distinct rng ~k:(min degree (n - 1)) ~bound:n ~skip:src
+    | Topology.Committees { count } ->
+        let mine = src mod count and tgt = (round - 1) mod count in
+        Array.of_list
+          (List.filter
+             (fun u -> u <> src && (u mod count = mine || u mod count = tgt))
+             (List.init n Fun.id))
+end
+
+(* Every sampler branch against the old sampler: k <= 16 (old linear scan),
+   k > 16 (old Hashtbl), near-dense Fisher-Yates, Dense and Committees.
+   [recipients_into] is also checked at an offset inside a larger buffer,
+   leaving the slots around its window untouched. *)
+let test_sampler_matches_old () =
+  let cases =
+    [ ("k<=16", Topology.Sampled { degree = 6 }, 40);
+      ("k=16", Topology.Sampled { degree = 16 }, 100);
+      ("k>16", Topology.Sampled { degree = 20 }, 200);
+      ("k>16 large n", Topology.Sampled { degree = 64 }, 4096);
+      ("near-dense", Topology.Sampled { degree = 30 }, 40);
+      ("half", Topology.Sampled { degree = 20 }, 41);
+      ("full degree", Topology.Sampled { degree = 39 }, 40);
+      ("dense", Topology.Dense, 40);
+      ("committees-1", Topology.Committees { count = 1 }, 33);
+      ("committees-4", Topology.Committees { count = 4 }, 37);
+      ("committees-n", Topology.Committees { count = 37 }, 37) ]
+  in
+  List.iter
+    (fun (label, plan, n) ->
+      List.iter
+        (fun seed ->
+          let ti = Topology.instantiate plan ~n ~seed in
+          let bound = Topology.degree_bound ti in
+          let buf = Array.make (bound + 7) (-5) in
+          for round = 1 to 4 do
+            for src = 0 to min (n - 1) 63 do
+              let expected = Old_sampler.recipients plan ~n ~seed ~round ~src in
+              let what = Printf.sprintf "%s seed %Ld round %d src %d" label seed round src in
+              Alcotest.(check (array int)) what expected (Topology.recipients ti ~round ~src);
+              Array.fill buf 0 (Array.length buf) (-5);
+              let k = Topology.recipients_into ti ~round ~src buf ~pos:3 in
+              Alcotest.(check (array int)) (what ^ " (into)") expected (Array.sub buf 3 k);
+              Alcotest.(check bool) (what ^ " window") true
+                (Array.for_all (( = ) (-5)) (Array.sub buf 0 3)
+                && Array.for_all (( = ) (-5)) (Array.sub buf (3 + k) (Array.length buf - 3 - k)))
+            done
+          done)
+        [ 1L; 9L; 2026L ])
+    cases;
+  let ti = Topology.instantiate (Topology.Sampled { degree = 6 }) ~n:40 ~seed:1L in
+  Alcotest.(check bool) "short buffer rejected" true
+    (try
+       ignore (Topology.recipients_into ti ~round:1 ~src:0 (Array.make 8 0) ~pos:3 : int);
+       false
+     with Invalid_argument _ -> true)
+
+(* The engine sizes its per-round CSR buffers by [degree_bound], so no
+   recipient set may ever exceed it. *)
+let prop_degree_bound =
+  QCheck.Test.make ~name:"recipient sets never exceed degree_bound" ~count:300
+    QCheck.(quad (int_range 2 90) (int_range 0 1000) (int_range 1 50) int64)
+    (fun (n, knob, round, seed) ->
+      let plan =
+        match knob mod 3 with
+        | 0 -> Topology.Dense
+        | 1 -> Topology.Sampled { degree = 1 + (knob mod (n - 1)) }
+        | _ -> Topology.Committees { count = 1 + (knob mod n) }
+      in
+      let ti = Topology.instantiate plan ~n ~seed in
+      List.for_all
+        (fun src -> Array.length (Topology.recipients ti ~round ~src) <= Topology.degree_bound ti)
+        (List.init n Fun.id))
+
 let test_topology_validate () =
   List.iter
     (fun (plan, n) ->
@@ -409,6 +547,9 @@ let () =
           Alcotest.test_case "slice validation" `Quick test_slice_validation ] );
       ( "topology",
         [ Alcotest.test_case "recipient sets" `Quick test_topology_recipients;
+          Alcotest.test_case "known answer" `Quick test_topology_known_answer;
+          Alcotest.test_case "sampler matches the old sampler" `Quick test_sampler_matches_old;
+          QCheck_alcotest.to_alcotest prop_degree_bound;
           Alcotest.test_case "plan validation" `Quick test_topology_validate ] );
       ( "sampled engine",
         [ Alcotest.test_case "outcomes identical at domains 1/2/4" `Quick
