@@ -27,7 +27,7 @@ let run_experiments ~quick ~seed ~domains ~json_path =
         let t0 = Unix.gettimeofday () in
         let r = d.run ~policy:Ba_harness.Supervisor.default ~domains ~quick ~seed in
         let wall = Unix.gettimeofday () -. t0 in
-        Format.printf "%a@." Ba_experiments.Experiments.pp_report r;
+        Format.printf "%a@." Ba_harness.Report.pp r;
         Format.print_flush ();
         (d, r, Some wall))
       (Ba_harness.Registry.all registry)
@@ -76,7 +76,8 @@ let make_micro_tests () =
     Test.make ~name
       (Staged.stage (fun () ->
            seed := Int64.add !seed 1L;
-           (run.exec ~record:false ~inputs ~seed:!seed ()).Ba_sim.Engine.rounds))
+           let o = run.exec ~record:false ~inputs ~seed:!seed () in
+           Ba_sim.Run.span_units o.span))
   in
   let engine_silent = engine_of Ba_experiments.Setups.Silent "engine/alg3-n64-silent" in
   let engine_killer =
@@ -97,7 +98,8 @@ let make_micro_tests () =
     Test.make ~name:"engine/round-n256"
       (Staged.stage (fun () ->
            seed := Int64.add !seed 1L;
-           (run.exec ~max_rounds:8 ~record:false ~inputs ~seed:!seed ()).Ba_sim.Engine.rounds))
+           let o = run.exec ~max_rounds:8 ~record:false ~inputs ~seed:!seed () in
+           Ba_sim.Run.span_units o.span))
   in
   (* The asynchronous plane's hot path: one capped Ben-Or run through the
      unified substrate — scheduler pop, fault application, per-message
@@ -178,7 +180,8 @@ let make_micro_tests () =
     Test.make ~name:"plane/sparse-round-n1M"
       (Staged.stage (fun () ->
            seed := Int64.add !seed 1L;
-           (run.exec ~max_rounds:1 ~record:false ~inputs ~seed:!seed ()).Ba_sim.Engine.rounds))
+           let o = run.exec ~max_rounds:1 ~record:false ~inputs ~seed:!seed () in
+           Ba_sim.Run.span_units o.span))
   in
   (* The sampled plane's two layers at the ks-sparse benchmark's size
      (n = 4096, degree 64): one sender's recipient draw into a reused buffer
@@ -207,7 +210,8 @@ let make_micro_tests () =
     Test.make ~name:"plane/csr-round-n4096"
       (Staged.stage (fun () ->
            seed := Int64.add !seed 1L;
-           (run.exec ~max_rounds:1 ~record:false ~inputs ~seed:!seed ()).Ba_sim.Engine.rounds))
+           let o = run.exec ~max_rounds:1 ~record:false ~inputs ~seed:!seed () in
+           Ba_sim.Run.span_units o.span))
   in
   [ prng_bits; prng_int; coin_sum; coin_trial; engine_silent; engine_killer; engine_round;
     engine_async_step; engine_async_step_batched; engine_async_round; model; sparse_round;

@@ -200,7 +200,7 @@ let run protocol scheduler n t broadcaster victims seed trials max_steps max_del
             ~inputs ~seed:s ()
         in
         pp_outcome ro;
-        let violations = Ba_trace.Checker.standard_run ~allow_faults:injecting ro in
+        let violations = Ba_trace.Checker.standard ~allow_faults:injecting ro in
         if violations = [] then Format.printf "invariants: all checks passed@."
         else begin
           List.iter

@@ -59,7 +59,7 @@ let run n k b trials seed engine_trials =
           Ba_sim.Engine.run ~max_rounds:2 ~protocol ~adversary ~n ~t:budget
             ~inputs:(Array.make n 0) ~seed:s ()
         in
-        if Ba_sim.Engine.agreement_holds o then incr common
+        if Ba_sim.Run.agreement_holds o then incr common
       done;
       let pe = float_of_int !common /. float_of_int engine_trials in
       let cie = Ba_stats.Ci.wilson95 ~successes:!common ~trials:engine_trials in

@@ -535,7 +535,7 @@ let campaign_main (d : Ba_harness.Registry.descriptor) (c : Ba_harness.Registry.
       Ba_harness.Report.with_shard_failures (c.c_report ~quick ~seed ~trials merged)
         shard_failures
     in
-    Format.printf "%a@." Ba_experiments.Experiments.pp_report report;
+    Format.printf "%a@." Ba_harness.Report.pp report;
     (match json_path with
     | None -> ()
     | Some path ->
@@ -662,7 +662,7 @@ let run_sweep ids all list quick domains seed tags json_path csv_path keep_going
                 else d.run ~policy ~domains ~quick ~seed
               in
               let wall = Unix.gettimeofday () -. t0 in
-              Format.printf "%a@." Ba_experiments.Experiments.pp_report report;
+              Format.printf "%a@." Ba_harness.Report.pp report;
               (d, report, Some wall))
             selected
         in

@@ -17,7 +17,7 @@ let gauntlet protocol adversaries ~n ~t =
         let seed = Ba_harness.Experiment.trial_seed ~seed:7L ~trial in
         let inputs = Setups.inputs Setups.Split ~n ~t in
         let o = run.exec ~record:true ~inputs ~seed () in
-        Ba_stats.Summary.add_int rounds o.rounds;
+        Ba_stats.Summary.add_int rounds (Ba_sim.Run.span_units o.span);
         if Ba_trace.Checker.standard ?rounds_per_phase:run.rounds_per_phase o = [] then
           incr clean
       done;

@@ -21,8 +21,8 @@ let () =
         let o =
           Async_engine.run ~protocol ~adversary ~n ~t ~inputs ~seed:(Int64.of_int s) ()
         in
-        if o.completed && Async_engine.agreement_holds o then incr clean;
-        Ba_stats.Summary.add_int agg o.deliveries
+        if o.completed && Ba_sim.Run.agreement_holds o then incr clean;
+        Ba_stats.Summary.add_int agg (Ba_sim.Metrics.messages o.metrics)
       done;
       Printf.printf "  %-18s %d/10 agreed, mean %.0f message deliveries\n" label !clean
         (Ba_stats.Summary.mean agg))

@@ -18,8 +18,8 @@ let () =
   for trial = 0 to trials - 1 do
     let seed = Ba_harness.Experiment.trial_seed ~seed:11L ~trial in
     let o = run.exec ~record:false ~inputs ~seed () in
-    assert (o.completed && Ba_sim.Engine.agreement_holds o);
-    samples.(trial) <- float_of_int o.Ba_sim.Engine.rounds
+    assert (o.completed && Ba_sim.Run.agreement_holds o);
+    samples.(trial) <- float_of_int (Ba_sim.Run.span_units o.span)
   done;
   let hist = Ba_stats.Histogram.create ~lo:0. ~hi:(Array.fold_left Float.max 0. samples +. 4.) ~bins:10 in
   Array.iter (Ba_stats.Histogram.add hist) samples;
@@ -49,6 +49,6 @@ let () =
         Ba_sim.Engine.run ~max_rounds:run.default_max_rounds ~protocol:inst.protocol ~adversary
           ~n ~t ~inputs ~seed:5L ()
       in
-      Printf.printf "  q=%2d -> %3d rounds (used %d corruptions)\n" q o.rounds
+      Printf.printf "  q=%2d -> %3d rounds (used %d corruptions)\n" q (Ba_sim.Run.span_units o.span)
         o.corruptions_used)
     [ 0; 4; 8; 16; 31 ]

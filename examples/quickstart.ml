@@ -36,7 +36,7 @@ let () =
   (* 5. Inspect. *)
   Format.printf "%a@." Ba_trace.Export.pp_outcome outcome;
   Format.printf "metrics: %a@." Ba_sim.Metrics.pp outcome.metrics;
-  (match Ba_sim.Engine.honest_outputs outcome with
+  (match Ba_sim.Run.honest_outputs outcome with
   | (_, b) :: _ -> Printf.printf "all honest nodes decided on %d\n" b
   | [] -> print_endline "no honest outputs?!");
 

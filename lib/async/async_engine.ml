@@ -83,21 +83,6 @@ let fifo =
     policy = Fifo_pick;
     act = (fun _ -> { deliver = None; corrupt = []; inject = [] }) }
 
-type outcome = {
-  protocol_name : string;
-  adversary_name : string;
-  n : int;
-  t : int;
-  inputs : int array;
-  steps : int;
-  deliveries : int;
-  completed : bool;
-  outputs : int option array;
-  corrupted : bool array;
-  corruptions_used : int;
-  metrics : Ba_sim.Metrics.t;
-}
-
 let validate ~n ~t ~inputs =
   if t < 0 || t >= n then invalid_arg "Async_engine.run: need 0 <= t < n";
   if Array.length inputs <> n then invalid_arg "Async_engine.run: inputs length <> n";
@@ -126,7 +111,6 @@ let run ?max_steps ?max_delay ?faults ?trace ?sharder
   let emit e = match trace with Some f -> f e | None -> () in
   let mb : 'msg Mailbox.t = Mailbox.create ~n () in
   let step = ref 0 in
-  let deliveries = ref 0 in
   let states = Array.make n None in
   (* Decisions are sticky (the protocol contract: [output] is "decided
      value, once set"), so completion can be tracked incrementally instead
@@ -207,7 +191,6 @@ let run ?max_steps ?max_delay ?faults ?trace ?sharder
       match payload with
       | None -> ()
       | Some msg ->
-          incr deliveries;
           let bits = protocol.msg_bits msg in
           Ba_sim.Metrics.record_message metrics ~bits ~byzantine:corrupted.(src);
           emit (Ba_sim.Run.Deliver
@@ -566,7 +549,6 @@ let run ?max_steps ?max_delay ?faults ?trace ?sharder
                 Ba_sim.Metrics.record_link_duplicate metrics;
                 ignore (Mailbox.enqueue mb ~src ~dst ~birth:sp p_msg.(q) : int)
               end;
-              incr deliveries;
               Ba_sim.Metrics.record_message metrics ~bits:(protocol.msg_bits p_msg.(q))
                 ~byzantine:false;
               states.(dst) <- Some r_state.(q);
@@ -591,37 +573,19 @@ let run ?max_steps ?max_delay ?faults ?trace ?sharder
       serial_fast ()
   | Fifo_pick | Avoid_srcs _ -> (
       match trace with Some _ -> serial_fast () | None -> batched ()));
-  { protocol_name = protocol.name;
+  { Ba_sim.Run.protocol_name = protocol.name;
     adversary_name = adversary.adv_name;
     n;
     t;
     inputs = Array.copy inputs;
-    steps = !step;
-    deliveries = !deliveries;
+    span = Ba_sim.Run.Steps !step;
     completed = !completed;
     outputs =
       Array.init n (fun v -> if corrupted.(v) then None else protocol.output (state_of v));
     corrupted = Array.copy corrupted;
     corruptions_used = !corruptions_used;
-    metrics }
+    metrics;
+    records = [] }
 
-(* Projection into the engine-agnostic substrate (Ba_sim.Run). Arrays are
-   shared, not copied: an outcome is immutable once returned. *)
-let to_run o =
-  { Ba_sim.Run.protocol_name = o.protocol_name;
-    adversary_name = o.adversary_name;
-    n = o.n;
-    t = o.t;
-    inputs = o.inputs;
-    span = Ba_sim.Run.Steps o.steps;
-    completed = o.completed;
-    outputs = o.outputs;
-    corrupted = o.corrupted;
-    corruptions_used = o.corruptions_used;
-    metrics = o.metrics }
-
-let honest_outputs o = Ba_sim.Run.honest_outputs (to_run o)
-
-let agreement_holds o = Ba_sim.Run.agreement_holds (to_run o)
-
-let validity_holds o = Ba_sim.Run.validity_holds (to_run o)
+(* The identity: [run] already returns the substrate record. *)
+let to_run = Fun.id

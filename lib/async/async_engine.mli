@@ -131,28 +131,13 @@ val opaque_of : ('state, 'msg) adversary -> ('state, 'msg) adversary
     scheduler ([Fifo_pick]). *)
 val fifo : ('state, 'msg) adversary
 
-type outcome = {
-  protocol_name : string;
-  adversary_name : string;
-  n : int;
-  t : int;
-  inputs : int array;
-  steps : int;  (** scheduler steps executed *)
-  deliveries : int;  (** messages delivered (equals [Metrics.messages metrics]) *)
-  completed : bool;
-  outputs : int option array;
-  corrupted : bool array;
-  corruptions_used : int;
-  metrics : Ba_sim.Metrics.t;
-      (** unified cost accounting: every delivery is metered through
-          [Metrics.record_message] with the protocol's [msg_bits], and every
-          injected link fault through the [record_link_*] counters — the same
-          metering path as the synchronous engine *)
-}
-
 (** [run ~protocol ~adversary ~n ~t ~inputs ~seed ()] — executes until all
     honest nodes decide or [max_steps] (default [5000 * n]).
     [max_delay] (default [8 * n]) is the bounded-delay fairness horizon.
+    The outcome's span is [Run.Steps] and its [records] are empty. Every
+    delivery is metered through [Metrics.record_message] with the
+    protocol's [msg_bits], and every injected link fault through the
+    [record_link_*] counters — the synchronous engine's metering path.
 
     @param faults a benign fault-injection plan ([Ba_sim.Faults]), applied
     with the same salted seed-derived stream as the synchronous engine:
@@ -188,18 +173,8 @@ val run :
   inputs:int array ->
   seed:int64 ->
   unit ->
-  outcome
+  Ba_sim.Run.outcome
 
-(** [to_run o] projects an asynchronous outcome into the engine-agnostic
-    substrate record ([Ba_sim.Run.outcome]), with
-    [span = Run.Steps o.steps]. Arrays are shared, not copied. *)
-val to_run : outcome -> Ba_sim.Run.outcome
-
-(** [honest_outputs o] — decided values of honest nodes, [(node, value)]
-    in node order; equal to [Run.honest_outputs (to_run o)], as are the
-    two predicates below. *)
-val honest_outputs : outcome -> (int * int) list
-
-val agreement_holds : outcome -> bool
-
-val validity_holds : outcome -> bool
+(** The identity on [Ba_sim.Run.outcome]; kept only because the trial
+    benchmark under [perfbench/] calls it. *)
+val to_run : Ba_sim.Run.outcome -> Ba_sim.Run.outcome

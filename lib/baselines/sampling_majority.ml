@@ -56,7 +56,7 @@ let make ?rounds () : (state, msg) Ba_sim.Protocol.t =
             nv_decided = false;
             nv_finished = st.halted }) }
 
-let agreement_fraction (o : Ba_sim.Engine.outcome) =
+let agreement_fraction (o : Ba_sim.Run.outcome) =
   let counts = [| 0; 0 |] in
   let honest = ref 0 in
   Array.iteri

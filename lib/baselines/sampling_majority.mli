@@ -34,4 +34,4 @@ val make : ?rounds:int -> unit -> (state, msg) Ba_sim.Protocol.t
 (** [agreement_fraction outcome] — the fraction of honest nodes holding the
     modal output: 1.0 means global agreement, values near 0.5 a split.
     Useful because this protocol targets almost-everywhere agreement. *)
-val agreement_fraction : Ba_sim.Engine.outcome -> float
+val agreement_fraction : Ba_sim.Run.outcome -> float

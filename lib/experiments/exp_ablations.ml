@@ -32,8 +32,8 @@ let e11_alpha ?(quick = false) ~seed () =
               ~max_rounds:(Ba_core.Agreement.round_bound inst)
               ~protocol:inst.protocol ~adversary:adv ~n ~t ~inputs ~seed:s ()
           in
-          Ba_stats.Summary.add_int rounds o.rounds;
-          if (not (Ba_sim.Engine.agreement_holds o)) || not o.completed then incr failures
+          Ba_stats.Summary.add_int rounds (Ba_sim.Run.span_units o.span);
+          if (not (Ba_sim.Run.agreement_holds o)) || not o.completed then incr failures
         done;
         let c = Ba_core.Params.committees ~alpha ~n ~t () in
         (alpha, c, Ba_core.Params.committee_size ~n ~c, rounds, !failures))
@@ -252,9 +252,9 @@ let e15 ?(quick = false) ~seed () =
         for trial = 0 to trials - 1 do
           let s = Ba_harness.Experiment.trial_seed ~seed:(seed_for ~seed ("e15", label)) ~trial in
           let o = run_one ~termination ~seed:s in
-          Ba_stats.Summary.add_int rounds o.Ba_sim.Engine.rounds;
+          Ba_stats.Summary.add_int rounds (Ba_sim.Run.span_units o.span);
           if not o.completed then incr stalls
-          else if not (Ba_sim.Engine.agreement_holds o) then incr disagreements
+          else if not (Ba_sim.Run.agreement_holds o) then incr disagreements
           else incr clean
         done;
         (label, key, rounds, !clean, !stalls, !disagreements))

@@ -41,7 +41,7 @@ let e17 ?policy ?(domains = 1) ?(quick = false) ~seed () =
           match
             Ba_harness.Supervisor.run_trial ~policy:pol
               ~seed:(seed_for ~seed ("e17", n))
-              ~trial ~view:Fun.id
+              ~trial
               ~run:(fun ~seed ~trial:_ -> arun.Setups.arun_exec ~inputs ~seed ())
           with
           | Error f ->
@@ -141,7 +141,7 @@ let e17 ?policy ?(domains = 1) ?(quick = false) ~seed () =
    [incomplete] (deadlock or step-cap) and is reported as degradation. The
    fault-free control arm, however, must be perfect: the model assumes
    reliable links. [domains] parallelizes whole trials
-   ({!Ba_harness.Parallel.monte_carlo_view}); within a trial the random
+   ({!Ba_harness.Parallel.monte_carlo}); within a trial the random
    scheduler takes the engine's serial slab fast path — one rank draw per
    step (DESIGN.md §15), so per-trial [?sharder] would be a no-op here. *)
 let e20 ?policy ?(quick = false) ~seed ~domains () =
@@ -174,9 +174,8 @@ let e20 ?policy ?(quick = false) ~seed ~domains () =
               Setups.make_async ?faults ~protocol ~scheduler:Setups.Random_sched ~n ~t ()
             in
             let stats =
-              Ba_harness.Parallel.monte_carlo_view ~domains ~fail_fast:false ?policy
-                ~check:(fun ro -> Checker.agreement_run ro @ Checker.validity_run ro)
-                ~view:Fun.id ~trials
+              Ba_harness.Parallel.monte_carlo ~domains ~fail_fast:false ?policy
+                ~check:(fun ro -> Checker.agreement ro @ Checker.validity ro) ~trials
                 ~seed:(seed_for ~seed ("e20", pname, label))
                 ~run:(fun ~seed ~trial:_ -> arun.Setups.arun_exec ~inputs ~seed ())
                 ()

@@ -40,8 +40,8 @@ let coin_objective ~n ~t ~trials ~seed genome =
       Ba_sim.Engine.run ~max_rounds:2 ~protocol ~adversary ~n ~t
         ~inputs:(Array.make n 0) ~seed:s ()
     in
-    if Ba_sim.Engine.agreement_holds o then
-      match Ba_sim.Engine.honest_outputs o with
+    if Ba_sim.Run.agreement_holds o then
+      match Ba_sim.Run.honest_outputs o with
       | (_, 1) :: _ -> incr ok
       | _ -> ()
   done;

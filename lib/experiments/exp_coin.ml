@@ -30,9 +30,9 @@ let coin_engine_check ~n ~budget ~trials ~seed =
       Ba_sim.Engine.run ~max_rounds:2 ~protocol ~adversary ~n ~t:budget
         ~inputs:(Array.make n 0) ~seed:s ()
     in
-    if Ba_sim.Engine.agreement_holds o then begin
+    if Ba_sim.Run.agreement_holds o then begin
       incr common;
-      match Ba_sim.Engine.honest_outputs o with
+      match Ba_sim.Run.honest_outputs o with
       | (_, 1) :: _ -> incr ones
       | _ -> ()
     end

@@ -49,7 +49,7 @@ let e18 ?policy ?(domains = 1) ?(quick = false) ~seed () =
                 ~run:(fun ~seed ~trial:_ ->
                   let o = run.exec ~domains ~record:true ~inputs ~seed () in
                   Ba_stats.Summary.add_int faults_seen
-                    (Ba_sim.Metrics.fault_events o.Ba_sim.Engine.metrics);
+                    (Ba_sim.Metrics.fault_events o.Ba_sim.Run.metrics);
                   o)
                 ()
             in
@@ -178,7 +178,7 @@ let e19 ?policy ?(domains = 1) ?(quick = false) ~seed () =
             ~run:(fun ~seed ~trial:_ ->
               let o = run.exec ~domains ~record:true ~inputs ~seed () in
               Ba_stats.Summary.add_int silenced
-                (Ba_sim.Metrics.crash_silences o.Ba_sim.Engine.metrics);
+                (Ba_sim.Metrics.crash_silences o.Ba_sim.Run.metrics);
               o)
             ()
         in

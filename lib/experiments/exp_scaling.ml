@@ -277,7 +277,7 @@ let e9 ?policy ?(domains = 1) ?(quick = false) ~seed () =
       ~seed:(seed_for ~seed "e9")
       ~run:(fun ~seed ~trial:_ ->
         let o = run.exec ~domains ~record:true ~inputs ~seed () in
-        rounds := float_of_int o.Ba_sim.Engine.rounds :: !rounds;
+        rounds := float_of_int (Ba_sim.Run.span_units o.span) :: !rounds;
         o)
       ()
   in

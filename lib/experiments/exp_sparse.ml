@@ -23,11 +23,11 @@ let e21_arm ~proto ~n ~t ~trials ~domains ~seed =
         ~seed:(seed_for ~seed ("e21", Setups.protocol_name proto, trial))
         ()
     in
-    Ba_stats.Summary.add_int rounds o.Ba_sim.Engine.rounds;
+    Ba_stats.Summary.add_int rounds (Ba_sim.Run.span_units o.span);
     Ba_stats.Summary.add_int bits (Ba_sim.Metrics.bits o.metrics);
     Ba_stats.Summary.add_int words (Ba_sim.Metrics.words o.metrics);
     Ba_stats.Summary.add_int messages (Ba_sim.Metrics.messages o.metrics);
-    if Ba_sim.Engine.agreement_holds o then incr agreed;
+    if Ba_sim.Run.agreement_holds o then incr agreed;
     if o.completed then incr completed
   done;
   (run.Setups.run_protocol, rounds, bits, words, messages, !agreed, !completed)
@@ -124,10 +124,10 @@ let e22 ?(domains = 1) ?(quick = false) ~seed () =
               ~seed:(seed_for ~seed ("e22", n, trial))
               ()
           in
-          Ba_stats.Summary.add_int rounds o.Ba_sim.Engine.rounds;
+          Ba_stats.Summary.add_int rounds (Ba_sim.Run.span_units o.span);
           Ba_stats.Summary.add_int bits (Ba_sim.Metrics.bits o.metrics);
           Ba_stats.Summary.add_int words (Ba_sim.Metrics.words o.metrics);
-          if Ba_sim.Engine.agreement_holds o && o.completed then incr agreed
+          if Ba_sim.Run.agreement_holds o && o.completed then incr agreed
         done;
         (n, degree, rounds, bits, words, !agreed))
       sizes

@@ -149,7 +149,7 @@ type run = {
     inputs:int array ->
     seed:int64 ->
     unit ->
-    Ba_sim.Engine.outcome;
+    Ba_sim.Run.outcome;
 }
 
 let sharder_of ~domains =
@@ -463,9 +463,8 @@ let make_async ?faults ~protocol ~scheduler ~n ~t () =
               | Balancer_sched -> Ba_async.Async_adv.ben_or_balancer ~rng
               | Splitter_sched -> Ba_async.Async_adv.ben_or_splitter ~rng
             in
-            Ba_async.Async_engine.to_run
-              (Ba_async.Async_engine.run ?max_steps ?max_delay ?faults:plan ?trace ?sharder
-                 ~protocol:p ~adversary ~n ~t ~inputs ~seed ())) }
+            Ba_async.Async_engine.run ?max_steps ?max_delay ?faults:plan ?trace ?sharder
+              ~protocol:p ~adversary ~n ~t ~inputs ~seed ()) }
   | Async_bracha { broadcaster } ->
       if broadcaster < 0 || broadcaster >= n then
         invalid_arg (Printf.sprintf "Setups.make_async: broadcaster %d outside [0,%d)" broadcaster n);
@@ -483,6 +482,5 @@ let make_async ?faults ~protocol ~scheduler ~n ~t () =
               | Delayer_sched victims -> Ba_async.Async_adv.delayer ~victims
               | Balancer_sched | Splitter_sched -> assert false (* rejected above *)
             in
-            Ba_async.Async_engine.to_run
-              (Ba_async.Async_engine.run ?max_steps ?max_delay ?faults:plan ?trace ?sharder
-                 ~protocol:p ~adversary ~n ~t ~inputs ~seed ())) }
+            Ba_async.Async_engine.run ?max_steps ?max_delay ?faults:plan ?trace ?sharder
+              ~protocol:p ~adversary ~n ~t ~inputs ~seed ()) }

@@ -99,7 +99,7 @@ type run = {
     inputs:int array ->
     seed:int64 ->
     unit ->
-    Ba_sim.Engine.outcome;
+    Ba_sim.Run.outcome;
       (** [?domains] (default 1): shard benign-round delivery across that
           many OCaml domains ({!Ba_harness.Parallel.delivery_sharder});
           outcomes are byte-identical at any value. *)
@@ -137,11 +137,10 @@ val make_capped :
 (** {1 Asynchronous setups}
 
     The asynchronous mirror of {!make}: one constructor pairing an async
-    protocol with a scheduling adversary, whose runner returns the unified
-    substrate outcome ({!Ba_sim.Run.outcome}) directly — the message type
-    is existentially hidden inside the closure, so harness code
-    ([Experiment.monte_carlo_view ~view:Fun.id], {!Ba_harness.Supervisor})
-    consumes async setups with zero engine-specific plumbing. *)
+    protocol with a scheduling adversary. Its runner returns the same
+    {!Ba_sim.Run.outcome} as a synchronous [exec], with the message type
+    hidden inside the closure, so harness code ([Experiment.monte_carlo],
+    {!Ba_harness.Supervisor}) consumes both kinds of setup alike. *)
 
 type async_protocol_kind =
   | Async_ben_or  (** Ben-Or binary consensus ([n > 5t]) *)

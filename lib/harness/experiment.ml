@@ -16,10 +16,6 @@ let trial_seed = Supervisor.trial_seed
 
 let max_kept_violations = 32
 
-(* Engine-agnostic core: [view] projects the run closure's native outcome
-   into the substrate record, and everything aggregated comes from that
-   projection — so the synchronous wrapper below and async callers share
-   one loop (and one set of supervised-failure semantics). *)
 let check_range ~trials = function
   | None -> (0, trials)
   | Some (lo, hi) ->
@@ -27,14 +23,14 @@ let check_range ~trials = function
         invalid_arg "Experiment.monte_carlo: range outside [0, trials) or empty";
       (lo, hi)
 
-let monte_carlo_view ?rounds_per_phase ?check ?(fail_fast = true)
-    ?(policy = Supervisor.default) ?range ~view ~trials ~seed ~run () =
+let monte_carlo ?rounds_per_phase ?check ?(fail_fast = true)
+    ?(policy = Supervisor.default) ?range ~trials ~seed ~run () =
   if trials <= 0 then invalid_arg "Experiment.monte_carlo: trials <= 0";
   let lo, hi = check_range ~trials range in
   let check =
     match check with
     | Some f -> f
-    | None -> fun o -> Ba_trace.Checker.standard_run (view o)
+    | None -> fun o -> Ba_trace.Checker.standard ?rounds_per_phase o
   in
   let rounds = Ba_stats.Summary.create ()
   and phases = Ba_stats.Summary.create ()
@@ -45,17 +41,16 @@ let monte_carlo_view ?rounds_per_phase ?check ?(fail_fast = true)
   let violations = ref [] and violation_count = ref 0 in
   let failures = ref [] in
   for trial = lo to hi - 1 do
-    match Supervisor.run_trial ~policy ~seed ~trial ~view ~run with
+    match Supervisor.run_trial ~policy ~seed ~trial ~run with
     | Error f ->
         if not policy.keep_going then Supervisor.raise_failure f;
         failures := f :: !failures
-    | Ok o ->
-        let ro = view o in
-        Ba_stats.Summary.add_int rounds (Ba_sim.Run.span_units ro.Ba_sim.Run.span);
+    | Ok ro ->
+        Ba_stats.Summary.add_int rounds (Ba_sim.Run.span_units ro.span);
         (match rounds_per_phase with
         | Some rpp when rpp > 0 ->
             Ba_stats.Summary.add phases
-              (float_of_int (Ba_sim.Run.span_units ro.Ba_sim.Run.span) /. float_of_int rpp)
+              (float_of_int (Ba_sim.Run.span_units ro.span) /. float_of_int rpp)
         | Some _ | None -> ());
         Ba_stats.Summary.add_int messages (Ba_sim.Metrics.messages ro.Ba_sim.Run.metrics);
         Ba_stats.Summary.add_int bits (Ba_sim.Metrics.bits ro.Ba_sim.Run.metrics);
@@ -63,7 +58,7 @@ let monte_carlo_view ?rounds_per_phase ?check ?(fail_fast = true)
         if not (Ba_sim.Run.agreement_holds ro) then incr agreement_failures;
         if not (Ba_sim.Run.validity_holds ro) then incr validity_failures;
         if not ro.Ba_sim.Run.completed then incr incomplete;
-        let vs = check o in
+        let vs = check ro in
         if vs <> [] then begin
           incr violation_count;
           if List.length !violations < max_kept_violations then violations := vs @ !violations;
@@ -89,18 +84,6 @@ let monte_carlo_view ?rounds_per_phase ?check ?(fail_fast = true)
     incomplete = !incomplete;
     violations = !violations;
     failures }
-
-let monte_carlo ?rounds_per_phase ?check ?fail_fast ?policy ?range ~trials ~seed ~run () =
-  (* The synchronous default checker keeps the record-level lemma checks
-     (decided coherence, frozen finishers, termination gap) on top of the
-     substrate-level audit. *)
-  let check =
-    match check with
-    | Some f -> f
-    | None -> fun o -> Ba_trace.Checker.standard ?rounds_per_phase o
-  in
-  monte_carlo_view ?rounds_per_phase ~check ?fail_fast ?policy ?range
-    ~view:Ba_sim.Engine.to_run ~trials ~seed ~run ()
 
 (* Merging keeps at most this many violation records, mirroring the serial
    runner's cap. *)

@@ -26,7 +26,9 @@ type stats = {
     trial runs under {!Supervisor.run_trial}: a raising or round-budget-
     overrunning trial either aborts with full context (the default policy)
     or — under a [keep_going] policy — becomes a {!Supervisor.failure}
-    record in [stats.failures] while the remaining trials run.
+    record in [stats.failures] while the remaining trials run. [run] may
+    drive either engine: the [rounds] summary holds the span in its native
+    unit, scheduler steps for asynchronous outcomes.
 
     @param rounds_per_phase used for the phase summary and Lemma 4 checking.
     @param check override the per-outcome checker (default
@@ -45,36 +47,13 @@ type stats = {
     @raise Invalid_argument if the range is empty or outside [0, trials). *)
 val monte_carlo :
   ?rounds_per_phase:int ->
-  ?check:(Ba_sim.Engine.outcome -> Ba_trace.Checker.violation list) ->
+  ?check:(Ba_sim.Run.outcome -> Ba_trace.Checker.violation list) ->
   ?fail_fast:bool ->
   ?policy:Supervisor.policy ->
   ?range:(int * int) ->
   trials:int ->
   seed:int64 ->
-  run:(seed:int64 -> trial:int -> Ba_sim.Engine.outcome) ->
-  unit ->
-  stats
-
-(** [monte_carlo_view ~view ~trials ~seed ~run ()] — the engine-agnostic
-    core: [run] may return any native outcome type and [view] projects it
-    into the substrate record ({!Ba_sim.Run.outcome}); every aggregate in
-    {!stats} is computed from that projection (the [rounds] summary holds
-    the span in its native unit — scheduler steps for async outcomes). The
-    default [check] is [Ba_trace.Checker.standard_run] composed with
-    [view]. {!monte_carlo} is this function at [view = Ba_sim.Engine.to_run]
-    with the synchronous record-level checks restored as the default
-    checker. Async callers pass [view = Ba_async.Async_engine.to_run] (or
-    [Fun.id] for closures that already return substrate outcomes). *)
-val monte_carlo_view :
-  ?rounds_per_phase:int ->
-  ?check:('o -> Ba_trace.Checker.violation list) ->
-  ?fail_fast:bool ->
-  ?policy:Supervisor.policy ->
-  ?range:(int * int) ->
-  view:('o -> Ba_sim.Run.outcome) ->
-  trials:int ->
-  seed:int64 ->
-  run:(seed:int64 -> trial:int -> 'o) ->
+  run:(seed:int64 -> trial:int -> Ba_sim.Run.outcome) ->
   unit ->
   stats
 

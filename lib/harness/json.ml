@@ -172,9 +172,15 @@ let parse_string cur =
             advance cur;
             if cur.pos + 4 > String.length cur.src then fail cur "truncated \\u escape";
             let hex = String.sub cur.src cur.pos 4 in
-            let code =
-              try int_of_string ("0x" ^ hex) with Failure _ -> fail cur "invalid \\u escape"
-            in
+            (* Exactly four hex digits: [int_of_string] alone would also
+               accept underscores and signs. *)
+            if
+              not
+                (String.for_all
+                   (function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false)
+                   hex)
+            then fail cur "invalid \\u escape";
+            let code = int_of_string ("0x" ^ hex) in
             cur.pos <- cur.pos + 4;
             add_utf8 buf code;
             go ()
@@ -188,32 +194,44 @@ let parse_string cur =
   go ();
   Buffer.contents buf
 
+(* The JSON number grammar, exactly: an optional '-', then "0" or a digit
+   string without a leading zero, then optionally '.' and at least one
+   digit, then optionally 'e'/'E', an optional sign and at least one
+   digit. *)
 let parse_number cur =
   let start = cur.pos in
-  let is_num_char = function
-    | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-    | _ -> false
+  let is_digit () = match peek cur with Some '0' .. '9' -> true | _ -> false in
+  let digits what =
+    if not (is_digit ()) then fail cur ("expected a digit " ^ what);
+    while is_digit () do
+      advance cur
+    done
   in
-  let rec go () =
-    match peek cur with
-    | Some c when is_num_char c ->
-        advance cur;
-        go ()
-    | _ -> ()
-  in
-  go ();
+  if peek cur = Some '-' then advance cur;
+  if peek cur = Some '0' then begin
+    advance cur;
+    if is_digit () then fail cur "leading zero in number"
+  end
+  else digits "in number";
+  let frac = peek cur = Some '.' in
+  if frac then begin
+    advance cur;
+    digits "after '.'"
+  end;
+  let exp = match peek cur with Some ('e' | 'E') -> true | _ -> false in
+  if exp then begin
+    advance cur;
+    (match peek cur with Some ('+' | '-') -> advance cur | _ -> ());
+    digits "in exponent"
+  end;
   let s = String.sub cur.src start (cur.pos - start) in
-  if String.exists (function '.' | 'e' | 'E' -> true | _ -> false) s then
-    match float_of_string_opt s with
-    | Some f -> Float f
-    | None -> fail cur (Printf.sprintf "invalid number %S" s)
-  else
-    match int_of_string_opt s with
-    | Some i -> Int i
-    | None -> (
-        match float_of_string_opt s with
-        | Some f -> Float f
-        | None -> fail cur (Printf.sprintf "invalid number %S" s))
+  match if frac || exp then None else int_of_string_opt s with
+  | Some i -> Int i
+  | None -> (
+      (* a fraction, an exponent, or an integer too large for [int] *)
+      match float_of_string_opt s with
+      | Some f -> Float f
+      | None -> fail cur (Printf.sprintf "invalid number %S" s))
 
 let rec parse_value cur =
   skip_ws cur;

@@ -49,22 +49,21 @@ let empty_partial () =
     p_violations = [];
     p_failures = [] }
 
-let run_chunk ~rounds_per_phase ~check ~policy ~view ~seed ~run ~lo ~hi =
+let run_chunk ~rounds_per_phase ~check ~policy ~seed ~run ~lo ~hi =
   let acc = empty_partial () in
   for trial = lo to hi - 1 do
-    match Supervisor.run_trial ~policy ~seed ~trial ~view ~run with
+    match Supervisor.run_trial ~policy ~seed ~trial ~run with
     | Error f ->
         (* Even without [keep_going] the chunk finishes: the merge step on
            the main domain raises after every domain is joined, so a
            poisoned trial never leaks domains. *)
         acc.p_failures <- f :: acc.p_failures
-    | Ok o ->
-        let ro = view o in
-        Ba_stats.Summary.add_int acc.p_rounds (Ba_sim.Run.span_units ro.Ba_sim.Run.span);
+    | Ok ro ->
+        Ba_stats.Summary.add_int acc.p_rounds (Ba_sim.Run.span_units ro.span);
         (match rounds_per_phase with
         | Some rpp when rpp > 0 ->
             Ba_stats.Summary.add acc.p_phases
-              (float_of_int (Ba_sim.Run.span_units ro.Ba_sim.Run.span) /. float_of_int rpp)
+              (float_of_int (Ba_sim.Run.span_units ro.span) /. float_of_int rpp)
         | Some _ | None -> ());
         Ba_stats.Summary.add_int acc.p_messages (Ba_sim.Metrics.messages ro.Ba_sim.Run.metrics);
         Ba_stats.Summary.add_int acc.p_bits (Ba_sim.Metrics.bits ro.Ba_sim.Run.metrics);
@@ -74,13 +73,13 @@ let run_chunk ~rounds_per_phase ~check ~policy ~view ~seed ~run ~lo ~hi =
         if not (Ba_sim.Run.validity_holds ro) then
           acc.p_validity_failures <- acc.p_validity_failures + 1;
         if not ro.Ba_sim.Run.completed then acc.p_incomplete <- acc.p_incomplete + 1;
-        let vs = check o in
+        let vs = check ro in
         if vs <> [] then acc.p_violations <- (trial, vs) :: acc.p_violations
   done;
   acc
 
-let monte_carlo_view ?domains ?rounds_per_phase ?check ?(fail_fast = true)
-    ?(policy = Supervisor.default) ?range ~view ~trials ~seed ~run () =
+let monte_carlo ?domains ?rounds_per_phase ?check ?(fail_fast = true)
+    ?(policy = Supervisor.default) ?range ~trials ~seed ~run () =
   if trials <= 0 then invalid_arg "Parallel.monte_carlo: trials <= 0";
   let range_lo, range_hi =
     match range with
@@ -94,7 +93,7 @@ let monte_carlo_view ?domains ?rounds_per_phase ?check ?(fail_fast = true)
   let check =
     match check with
     | Some f -> f
-    | None -> fun o -> Ba_trace.Checker.standard_run (view o)
+    | None -> fun o -> Ba_trace.Checker.standard ?rounds_per_phase o
   in
   let domains = max 1 (min span (Option.value domains ~default:(default_domains ()))) in
   let chunk = (span + domains - 1) / domains in
@@ -116,7 +115,7 @@ let monte_carlo_view ?domains ?rounds_per_phase ?check ?(fail_fast = true)
             (fun (lo, hi) ->
               Domain.spawn (fun () ->
                   Printexc.record_backtrace record_bt;
-                  run_chunk ~rounds_per_phase ~check ~policy ~view ~seed ~run ~lo ~hi))
+                  run_chunk ~rounds_per_phase ~check ~policy ~seed ~run ~lo ~hi))
             rest
         in
         (* The first chunk runs on the current domain. If it (or an early
@@ -134,7 +133,7 @@ let monte_carlo_view ?domains ?rounds_per_phase ?check ?(fail_fast = true)
                 handles)
           (fun () ->
             let first =
-              run_chunk ~rounds_per_phase ~check ~policy ~view ~seed ~run ~lo:lo0 ~hi:hi0
+              run_chunk ~rounds_per_phase ~check ~policy ~seed ~run ~lo:lo0 ~hi:hi0
             in
             let rest = List.map Domain.join handles in
             joined := true;
@@ -193,15 +192,3 @@ let monte_carlo_view ?domains ?rounds_per_phase ?check ?(fail_fast = true)
     incomplete = merged.p_incomplete;
     violations = List.concat_map snd violations_sorted;
     failures = failures_sorted }
-
-let monte_carlo ?domains ?rounds_per_phase ?check ?fail_fast ?policy ?range ~trials ~seed
-    ~run () =
-  (* Synchronous default checker: substrate-level audit plus the
-     record-level lemma checks, exactly like the serial runner. *)
-  let check =
-    match check with
-    | Some f -> f
-    | None -> fun o -> Ba_trace.Checker.standard ?rounds_per_phase o
-  in
-  monte_carlo_view ?domains ?rounds_per_phase ~check ?fail_fast ?policy ?range
-    ~view:Ba_sim.Engine.to_run ~trials ~seed ~run ()

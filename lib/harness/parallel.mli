@@ -33,33 +33,13 @@
 val monte_carlo :
   ?domains:int ->
   ?rounds_per_phase:int ->
-  ?check:(Ba_sim.Engine.outcome -> Ba_trace.Checker.violation list) ->
+  ?check:(Ba_sim.Run.outcome -> Ba_trace.Checker.violation list) ->
   ?fail_fast:bool ->
   ?policy:Supervisor.policy ->
   ?range:(int * int) ->
   trials:int ->
   seed:int64 ->
-  run:(seed:int64 -> trial:int -> Ba_sim.Engine.outcome) ->
-  unit ->
-  Experiment.stats
-
-(** [monte_carlo_view ~view ...] — the engine-agnostic core, mirroring
-    {!Experiment.monte_carlo_view}: [run] may return any native outcome and
-    [view] projects it into {!Ba_sim.Run.outcome}. Failure records and
-    aggregates are domain-count independent exactly as for the synchronous
-    wrapper (which is this function at [view = Ba_sim.Engine.to_run] with
-    the record-level default checker). *)
-val monte_carlo_view :
-  ?domains:int ->
-  ?rounds_per_phase:int ->
-  ?check:('o -> Ba_trace.Checker.violation list) ->
-  ?fail_fast:bool ->
-  ?policy:Supervisor.policy ->
-  ?range:(int * int) ->
-  view:('o -> Ba_sim.Run.outcome) ->
-  trials:int ->
-  seed:int64 ->
-  run:(seed:int64 -> trial:int -> 'o) ->
+  run:(seed:int64 -> trial:int -> Ba_sim.Run.outcome) ->
   unit ->
   Experiment.stats
 

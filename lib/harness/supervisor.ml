@@ -71,7 +71,7 @@ let cap_error (ro : Ba_sim.Run.outcome) ~cap =
       Printf.sprintf "step budget exceeded: %d scheduler steps > cap %d (completed=%b)" s cap
         ro.completed
 
-let run_trial ~policy ~seed ~trial ~view ~run =
+let run_trial ~policy ~seed ~trial ~run =
   let attempts = policy.retries + 1 in
   let mk ~attempt ~kind ~error ~backtrace =
     { f_trial = trial;
@@ -85,14 +85,11 @@ let run_trial ~policy ~seed ~trial ~view ~run =
     let s = retry_seed ~seed ~trial ~attempt in
     let result =
       match run ~seed:s ~trial with
-      | o -> (
+      | (o : Ba_sim.Run.outcome) -> (
           match policy.round_cap with
-          | Some cap ->
-              let ro = view o in
-              if Ba_sim.Run.span_units ro.Ba_sim.Run.span > cap then
-                Error (mk ~attempt ~kind:Round_cap ~error:(cap_error ro ~cap) ~backtrace:"")
-              else Ok o
-          | None -> Ok o)
+          | Some cap when Ba_sim.Run.span_units o.span > cap ->
+              Error (mk ~attempt ~kind:Round_cap ~error:(cap_error o ~cap) ~backtrace:"")
+          | Some _ | None -> Ok o)
       (* lint: allow D008 -- crash isolation is the module's purpose *)
       | exception exn ->
           let backtrace = Printexc.get_backtrace () in

@@ -80,28 +80,21 @@ val default : policy
     @raise Invalid_argument if [retries < 0] or [round_cap <= 0]. *)
 val supervised : ?round_cap:int -> ?retries:int -> ?sink:sink -> unit -> policy
 
-(** [run_trial ~policy ~seed ~trial ~view ~run] — execute one trial under
+(** [run_trial ~policy ~seed ~trial ~run] — execute one trial under
     the exception barrier and watchdog, retrying per the policy.
     [Ok outcome] on success; [Error failure] (the last attempt's failure)
     once the attempt budget is exhausted. Never raises through the barrier —
     checker violations are out of scope (they are science, handled by the
-    runners' [fail_fast]), only [run] itself is barriered.
-
-    The runner is polymorphic in the engine's native outcome: [view]
-    projects it into the substrate record ({!Ba_sim.Run.outcome}) so the
-    watchdog can compare the simulated span against [round_cap] in its
-    native unit — rounds for the synchronous engine
-    ([view = Ba_sim.Engine.to_run]), scheduler steps for the asynchronous
-    one ([view = Ba_async.Async_engine.to_run], or [Fun.id] when [run]
-    already returns a substrate outcome). [view] is only called when the
-    watchdog is armed. *)
+    runners' [fail_fast]), only [run] itself is barriered. The watchdog
+    compares the outcome's span against [round_cap] in its native unit —
+    rounds for the synchronous engine, scheduler steps for the
+    asynchronous one. *)
 val run_trial :
   policy:policy ->
   seed:int64 ->
   trial:int ->
-  view:('o -> Ba_sim.Run.outcome) ->
-  run:(seed:int64 -> trial:int -> 'o) ->
-  ('o, failure) result
+  run:(seed:int64 -> trial:int -> Ba_sim.Run.outcome) ->
+  (Ba_sim.Run.outcome, failure) result
 
 (** [failure_message f] — one-line human rendering (also used by
     {!raise_failure} and {!pp_failure}). *)

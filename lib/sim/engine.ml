@@ -1,24 +1,3 @@
-type round_record = {
-  rr_round : int;
-  rr_new_corruptions : int list;
-  rr_views : Protocol.node_view option array;
-}
-
-type outcome = {
-  protocol_name : string;
-  adversary_name : string;
-  n : int;
-  t : int;
-  inputs : int array;
-  rounds : int;
-  completed : bool;
-  outputs : int option array;
-  corrupted : bool array;
-  corruptions_used : int;
-  metrics : Metrics.t;
-  records : round_record list;
-}
-
 type sharder = { s_shards : int; s_run : (unit -> unit) array -> unit }
 
 let sequential = { s_shards = 1; s_run = (fun thunks -> Array.iter (fun f -> f ()) thunks) }
@@ -401,7 +380,7 @@ let run ?max_rounds ?(record = false) ?congest_limit_bits ?faults ?(sharder = se
             if corrupted.(v) then None else protocol.inspect states.(v))
       in
       records :=
-        { rr_round = r; rr_new_corruptions = List.rev !new_corruptions; rr_views }
+        { Run.rr_round = r; rr_new_corruptions = List.rev !new_corruptions; rr_views }
         :: !records
     end;
     completed := all_honest_halted ()
@@ -409,12 +388,12 @@ let run ?max_rounds ?(record = false) ?congest_limit_bits ?faults ?(sharder = se
   let outputs =
     Array.init n (fun v -> if corrupted.(v) then None else protocol.output states.(v))
   in
-  { protocol_name = protocol.name;
+  { Run.protocol_name = protocol.name;
     adversary_name = adversary.adv_name;
     n;
     t;
     inputs = Array.copy inputs;
-    rounds = !round;
+    span = Run.Rounds !round;
     completed = !completed;
     outputs;
     corrupted = Array.copy corrupted;
@@ -422,25 +401,5 @@ let run ?max_rounds ?(record = false) ?congest_limit_bits ?faults ?(sharder = se
     metrics;
     records = List.rev !records }
 
-(* Projection into the engine-agnostic substrate. The arrays are shared,
-   not copied: an outcome is immutable once returned. *)
-let to_run o =
-  { Run.protocol_name = o.protocol_name;
-    adversary_name = o.adversary_name;
-    n = o.n;
-    t = o.t;
-    inputs = o.inputs;
-    span = Run.Rounds o.rounds;
-    completed = o.completed;
-    outputs = o.outputs;
-    corrupted = o.corrupted;
-    corruptions_used = o.corruptions_used;
-    metrics = o.metrics }
-
-let honest_outputs o = Run.honest_outputs (to_run o)
-
-let all_honest_decided o = Run.all_honest_decided (to_run o)
-
-let agreement_holds o = Run.agreement_holds (to_run o)
-
-let validity_holds o = Run.validity_holds (to_run o)
+(* The identity: [run] already returns the substrate record. *)
+let to_run = Fun.id

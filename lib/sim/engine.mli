@@ -31,34 +31,11 @@ type sharder = { s_shards : int; s_run : (unit -> unit) array -> unit }
 (** Runs the thunks in order on the calling domain — the default. *)
 val sequential : sharder
 
-(** Per-round record kept when [record:true], consumed by trace checkers. *)
-type round_record = {
-  rr_round : int;
-  rr_new_corruptions : int list;
-  rr_views : Protocol.node_view option array;
-      (** post-[recv] introspection; [None] for corrupted nodes or protocols
-          without introspection *)
-}
-
-type outcome = {
-  protocol_name : string;
-  adversary_name : string;
-  n : int;
-  t : int;
-  inputs : int array;
-  rounds : int;  (** rounds executed *)
-  completed : bool;  (** all honest nodes halted before [max_rounds] *)
-  outputs : int option array;  (** [outputs.(v)] for honest [v]; [None] for corrupted *)
-  corrupted : bool array;  (** final corruption set *)
-  corruptions_used : int;
-  metrics : Metrics.t;
-  records : round_record list;  (** oldest first; empty unless [record] *)
-}
-
 (** [run ~protocol ~adversary ~n ~t ~inputs ~seed ()] executes one instance.
 
     @param max_rounds cap (default {!Protocol.default_round_cap}).
-    @param record keep per-round {!round_record}s for invariant checking.
+    @param record keep per-round {!Run.round_record}s in the outcome's
+    [records], for the record-level checkers and the timeline.
     @param congest_limit_bits when set, every delivered payload larger than
     this is counted as a CONGEST violation in the metrics (the paper's model
     allows O(log n) bits per edge per round); delivery still happens, so a
@@ -106,29 +83,8 @@ val run :
   inputs:int array ->
   seed:int64 ->
   unit ->
-  outcome
+  Run.outcome
 
-(** [to_run o] projects a synchronous outcome into the engine-agnostic
-    substrate record ({!Run.outcome}), with [span = Run.Rounds o.rounds].
-    Arrays are shared, not copied. The per-round [records] do not project —
-    record-level checks stay on the native outcome. *)
-val to_run : outcome -> Run.outcome
-
-(** [honest_outputs o] — the decided values of honest nodes (those with an
-    output), as a list of [(node, value)]. Equal to
-    [Run.honest_outputs (to_run o)], as are the three predicates below. *)
-val honest_outputs : outcome -> (int * int) list
-
-(** [agreement_holds o] — no two honest nodes output different values, and
-    every honest node that halted produced an output. *)
-val agreement_holds : outcome -> bool
-
-(** [validity_holds o] — if all honest *inputs* (of finally-honest nodes)
-    equal [b], every honest output equals [b]; vacuously true otherwise.
-
-    Note: per the adaptive model, validity is judged against nodes that were
-    honest for the entire execution. *)
-val validity_holds : outcome -> bool
-
-(** [all_honest_decided o] — every finally-honest node produced an output. *)
-val all_honest_decided : outcome -> bool
+(** The identity on {!Run.outcome}; kept only because the trial benchmark
+    under [perfbench/] calls it. *)
+val to_run : Run.outcome -> Run.outcome

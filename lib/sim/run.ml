@@ -4,6 +4,12 @@ let span_units = function Rounds k -> k | Steps k -> k
 
 let span_label = function Rounds _ -> "rounds" | Steps _ -> "steps"
 
+type round_record = {
+  rr_round : int;
+  rr_new_corruptions : int list;
+  rr_views : Protocol.node_view option array;
+}
+
 type outcome = {
   protocol_name : string;
   adversary_name : string;
@@ -16,6 +22,7 @@ type outcome = {
   corrupted : bool array;
   corruptions_used : int;
   metrics : Metrics.t;
+  records : round_record list;
 }
 
 let honest_outputs o =

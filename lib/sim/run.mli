@@ -1,12 +1,12 @@
-(** The shared execution substrate: one engine-agnostic outcome for the
+(** The shared execution substrate: the one outcome record of the
     synchronous round engine ({!Engine}) and the asynchronous scheduler
     engine ([Ba_async.Async_engine]).
 
-    Both engines project their native outcome into {!outcome} (via their
-    [to_run] functions), so the harness layers — checkers, supervised trial
-    runners, reports, the registry — consume a single record regardless of
-    which plane produced it. Duration is a {!span}: lockstep rounds for the
-    synchronous engine, scheduler steps for the asynchronous one. Cost
+    Both engines return {!outcome} directly, so the harness layers —
+    checkers, supervised trial runners, reports, timelines, the registry —
+    consume a single record regardless of which plane produced it. Duration
+    is a {!span}: lockstep rounds for the synchronous engine, scheduler
+    steps for the asynchronous one. Cost
     accounting is one {!Metrics} value either way — per-message bits are
     metered through {!Metrics.record_message} on both planes, so the bit
     complexities the communication-centric lines of work measure (King–Saia,
@@ -22,7 +22,17 @@ val span_units : span -> int
 (** ["rounds"] or ["steps"] — for messages and reports. *)
 val span_label : span -> string
 
-(** Engine-agnostic outcome of one protocol execution. *)
+(** Per-round snapshot a synchronous run keeps when [~record:true], consumed
+    by the record-level checkers and the timeline. *)
+type round_record = {
+  rr_round : int;
+  rr_new_corruptions : int list;
+  rr_views : Protocol.node_view option array;
+      (** post-[recv] introspection; [None] for corrupted nodes or protocols
+          without introspection *)
+}
+
+(** Outcome of one protocol execution, on either engine. *)
 type outcome = {
   protocol_name : string;
   adversary_name : string;
@@ -35,6 +45,9 @@ type outcome = {
   corrupted : bool array;  (** final corruption set *)
   corruptions_used : int;
   metrics : Metrics.t;
+  records : round_record list;
+      (** oldest first; empty for asynchronous runs and for synchronous
+          runs without [~record:true] *)
 }
 
 (** [honest_outputs o] — the decided values of honest nodes (those with an

@@ -4,12 +4,7 @@ let pp_violation fmt v = Format.fprintf fmt "[%s] %s" v.check v.detail
 
 let fail check fmt = Format.kasprintf (fun detail -> [ { check; detail } ]) fmt
 
-(* Substrate-level checks: typed on the engine-agnostic Ba_sim.Run.outcome
-   so both the synchronous and the asynchronous plane audit through one
-   code path. The sync-typed wrappers below preserve their historical
-   message text exactly. *)
-
-let agreement_run (o : Ba_sim.Run.outcome) =
+let agreement (o : Ba_sim.Run.outcome) =
   match Ba_sim.Run.honest_outputs o with
   | [] -> []
   | (v0, b0) :: rest -> (
@@ -18,7 +13,7 @@ let agreement_run (o : Ba_sim.Run.outcome) =
           fail "agreement" "node %d output %d but node %d output %d" v0 b0 v b
       | None -> [])
 
-let validity_run (o : Ba_sim.Run.outcome) =
+let validity (o : Ba_sim.Run.outcome) =
   if Ba_sim.Run.validity_holds o then []
   else begin
     let b = ref None in
@@ -27,7 +22,7 @@ let validity_run (o : Ba_sim.Run.outcome) =
       (match !b with Some x -> string_of_int x | None -> "?")
   end
 
-let completion_run (o : Ba_sim.Run.outcome) =
+let completion (o : Ba_sim.Run.outcome) =
   if not o.completed then
     (match o.span with
     | Ba_sim.Run.Rounds r -> fail "completion" "hit the round cap after %d rounds" r
@@ -36,17 +31,7 @@ let completion_run (o : Ba_sim.Run.outcome) =
     fail "completion" "some honest node halted without an output"
   else []
 
-let corruption_budget_run (o : Ba_sim.Run.outcome) =
-  let count = Array.fold_left (fun acc c -> if c then acc + 1 else acc) 0 o.corrupted in
-  let violations = ref [] in
-  let push vs = violations := List.rev_append vs !violations in
-  if count > o.t then
-    push (fail "corruption-budget" "%d corrupted > budget t=%d" count o.t);
-  if o.corruptions_used <> count then
-    push (fail "corruption-budget" "used=%d but %d nodes marked corrupted" o.corruptions_used count);
-  List.rev !violations
-
-let benign_faults_run (o : Ba_sim.Run.outcome) =
+let benign_faults (o : Ba_sim.Run.outcome) =
   let m = o.metrics in
   let events = Ba_sim.Metrics.fault_events m in
   if events > 0 then
@@ -60,35 +45,30 @@ let benign_faults_run (o : Ba_sim.Run.outcome) =
       (Ba_sim.Metrics.crash_silences m)
   else []
 
-let congest_run (o : Ba_sim.Run.outcome) =
+let congest (o : Ba_sim.Run.outcome) =
   let v = Ba_sim.Metrics.congest_violations o.metrics in
   if v > 0 then
     fail "congest" "%d payloads exceeded the configured CONGEST limit (max seen: %d bits)" v
       (Ba_sim.Metrics.max_bits_per_message o.metrics)
   else []
 
-let standard_run ?(allow_faults = false) (o : Ba_sim.Run.outcome) =
-  agreement_run o @ validity_run o @ completion_run o @ corruption_budget_run o
-  @ congest_run o
-  @ if allow_faults then [] else benign_faults_run o
-
-let agreement (o : Ba_sim.Engine.outcome) = agreement_run (Ba_sim.Engine.to_run o)
-
-let validity (o : Ba_sim.Engine.outcome) = validity_run (Ba_sim.Engine.to_run o)
-
-let completion (o : Ba_sim.Engine.outcome) = completion_run (Ba_sim.Engine.to_run o)
-
-let corruption_budget (o : Ba_sim.Engine.outcome) =
+let corruption_budget (o : Ba_sim.Run.outcome) =
   (* Accumulate in report order (budget, count coherence, then per-round
      double corruptions chronologically) so the violation list is stable
      across runs and directly comparable in regression tests. *)
   let violations = ref [] in
   let push vs = violations := List.rev_append vs !violations in
-  push (corruption_budget_run (Ba_sim.Engine.to_run o));
+  let count = Array.fold_left (fun acc c -> if c then acc + 1 else acc) 0 o.corrupted in
+  if count > o.t then
+    push (fail "corruption-budget" "%d corrupted > budget t=%d" count o.t);
+  if o.corruptions_used <> count then
+    push
+      (fail "corruption-budget" "used=%d but %d nodes marked corrupted" o.corruptions_used
+         count);
   (* Each node corrupted at most once across records. *)
   let seen = Hashtbl.create 16 in
   List.iter
-    (fun (r : Ba_sim.Engine.round_record) ->
+    (fun (r : Ba_sim.Run.round_record) ->
       List.iter
         (fun v ->
           if Hashtbl.mem seen v then
@@ -98,15 +78,11 @@ let corruption_budget (o : Ba_sim.Engine.outcome) =
     o.records;
   List.rev !violations
 
-let benign_faults (o : Ba_sim.Engine.outcome) = benign_faults_run (Ba_sim.Engine.to_run o)
-
-let congest (o : Ba_sim.Engine.outcome) = congest_run (Ba_sim.Engine.to_run o)
-
-let decided_coherence (o : Ba_sim.Engine.outcome) =
+let decided_coherence (o : Ba_sim.Run.outcome) =
   let violations = ref [] in
   let push vs = violations := List.rev_append vs !violations in
   List.iter
-    (fun (r : Ba_sim.Engine.round_record) ->
+    (fun (r : Ba_sim.Run.round_record) ->
       let decided_val = ref None in
       Array.iteri
         (fun v nv ->
@@ -125,12 +101,12 @@ let decided_coherence (o : Ba_sim.Engine.outcome) =
     o.records;
   List.rev !violations
 
-let frozen_finishers (o : Ba_sim.Engine.outcome) =
+let frozen_finishers (o : Ba_sim.Run.outcome) =
   let violations = ref [] in
   let push vs = violations := List.rev_append vs !violations in
   let frozen : (int, int) Hashtbl.t = Hashtbl.create 16 in
   List.iter
-    (fun (r : Ba_sim.Engine.round_record) ->
+    (fun (r : Ba_sim.Run.round_record) ->
       Array.iteri
         (fun v nv ->
           match nv with
@@ -159,12 +135,12 @@ let frozen_finishers (o : Ba_sim.Engine.outcome) =
   done;
   List.rev !violations
 
-let termination_gap ~rounds_per_phase (o : Ba_sim.Engine.outcome) =
+let termination_gap ~rounds_per_phase (o : Ba_sim.Run.outcome) =
   if not o.completed then []
   else begin
     let first_finish = ref None in
     List.iter
-      (fun (r : Ba_sim.Engine.round_record) ->
+      (fun (r : Ba_sim.Run.round_record) ->
         if !first_finish = None then
           Array.iter
             (fun nv ->
@@ -180,13 +156,14 @@ let termination_gap ~rounds_per_phase (o : Ba_sim.Engine.outcome) =
         (* Lemma 4: everyone halts within two phases of the first finisher,
            plus the finisher's own grace phase. *)
         let window = 3 * rounds_per_phase in
-        if o.rounds - r0 > window then
+        let rounds = Ba_sim.Run.span_units o.span in
+        if rounds - r0 > window then
           fail "termination-gap" "first finisher at round %d but run lasted %d rounds (> %d gap)"
-            r0 o.rounds window
+            r0 rounds window
         else []
   end
 
-let standard ?rounds_per_phase ?(allow_faults = false) (o : Ba_sim.Engine.outcome) =
+let standard ?rounds_per_phase ?(allow_faults = false) (o : Ba_sim.Run.outcome) =
   let record_checks =
     if o.records = [] then []
     else
@@ -198,3 +175,5 @@ let standard ?rounds_per_phase ?(allow_faults = false) (o : Ba_sim.Engine.outcom
   agreement o @ validity o @ completion o @ corruption_budget o @ congest o
   @ (if allow_faults then [] else benign_faults o)
   @ record_checks
+
+let standard_run = standard

@@ -1,19 +1,19 @@
-let outcome_row (o : Ba_sim.Engine.outcome) =
+let outcome_row (o : Ba_sim.Run.outcome) =
   [ ("protocol", o.protocol_name);
     ("adversary", o.adversary_name);
     ("n", string_of_int o.n);
     ("t", string_of_int o.t);
-    ("rounds", string_of_int o.rounds);
+    (Ba_sim.Run.span_label o.span, string_of_int (Ba_sim.Run.span_units o.span));
     ("completed", string_of_bool o.completed);
     ("messages", string_of_int (Ba_sim.Metrics.messages o.metrics));
     ("bits", string_of_int (Ba_sim.Metrics.bits o.metrics));
     ("corruptions", string_of_int o.corruptions_used);
-    ("agreement", string_of_bool (Ba_sim.Engine.agreement_holds o));
-    ("validity", string_of_bool (Ba_sim.Engine.validity_holds o)) ]
+    ("agreement", string_of_bool (Ba_sim.Run.agreement_holds o));
+    ("validity", string_of_bool (Ba_sim.Run.validity_holds o)) ]
 
-let round_rows (o : Ba_sim.Engine.outcome) =
+let round_rows (o : Ba_sim.Run.outcome) =
   List.map
-    (fun (r : Ba_sim.Engine.round_record) ->
+    (fun (r : Ba_sim.Run.round_record) ->
       let decided = ref 0 and finished = ref 0 and live = ref 0 in
       Array.iter
         (fun nv ->
@@ -53,8 +53,9 @@ let to_csv ~path rows =
               output_char oc '\n')
             rows)
 
-let pp_outcome fmt (o : Ba_sim.Engine.outcome) =
-  Format.fprintf fmt "%s vs %s: n=%d t=%d rounds=%d %s agreement=%b validity=%b corruptions=%d"
-    o.protocol_name o.adversary_name o.n o.t o.rounds
+let pp_outcome fmt (o : Ba_sim.Run.outcome) =
+  Format.fprintf fmt "%s vs %s: n=%d t=%d %s=%d %s agreement=%b validity=%b corruptions=%d"
+    o.protocol_name o.adversary_name o.n o.t (Ba_sim.Run.span_label o.span)
+    (Ba_sim.Run.span_units o.span)
     (if o.completed then "completed" else "TIMED-OUT")
-    (Ba_sim.Engine.agreement_holds o) (Ba_sim.Engine.validity_holds o) o.corruptions_used
+    (Ba_sim.Run.agreement_holds o) (Ba_sim.Run.validity_holds o) o.corruptions_used

@@ -7,11 +7,11 @@ let glyph_of_view corrupted (nv : Ba_sim.Protocol.node_view option) =
     | Some { nv_decided = true; nv_val; _ } -> if nv_val = 1 then 'b' else 'a'
     | Some { nv_val; _ } -> if nv_val = 1 then '1' else '0'
 
-let render ?(max_nodes = 64) ?(max_rounds = 120) (o : Ba_sim.Engine.outcome) =
+let render ?(max_nodes = 64) ?(max_rounds = 120) (o : Ba_sim.Run.outcome) =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
-    (Printf.sprintf "timeline: %s vs %s (n=%d, t=%d, %d rounds)\n" o.protocol_name
-       o.adversary_name o.n o.t o.rounds);
+    (Printf.sprintf "timeline: %s vs %s (n=%d, t=%d, %d %s)\n" o.protocol_name
+       o.adversary_name o.n o.t (Ba_sim.Run.span_units o.span) (Ba_sim.Run.span_label o.span));
   if o.records = [] then begin
     Buffer.add_string buf "(no records — run the engine with ~record:true)\n";
     Buffer.contents buf
@@ -23,7 +23,7 @@ let render ?(max_nodes = 64) ?(max_rounds = 120) (o : Ba_sim.Engine.outcome) =
     (* Corruption becomes visible from its round onward. *)
     let corrupted_at = Array.make o.n max_int in
     Array.iter
-      (fun (r : Ba_sim.Engine.round_record) ->
+      (fun (r : Ba_sim.Run.round_record) ->
         List.iter
           (fun v -> if corrupted_at.(v) = max_int then corrupted_at.(v) <- r.rr_round)
           r.rr_new_corruptions)

@@ -9,8 +9,9 @@
     as columns of alternating 0/1 stripes that suddenly collapse into a
     solid block of [a]/[b] once a coin survives. *)
 
-(** [render ?max_nodes ?max_rounds outcome] — requires a run recorded with
-    [~record:true]; renders a note when no records are present. Large runs
+(** [render ?max_nodes ?max_rounds outcome] — needs a synchronous run
+    recorded with [~record:true]; renders the header and a note when no
+    records are present (always so for asynchronous runs). Large runs
     are cropped to [max_nodes] rows (default 64) and [max_rounds] columns
     (default 120), annotated when cropped. *)
-val render : ?max_nodes:int -> ?max_rounds:int -> Ba_sim.Engine.outcome -> string
+val render : ?max_nodes:int -> ?max_rounds:int -> Ba_sim.Run.outcome -> string

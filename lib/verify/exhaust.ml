@@ -399,7 +399,7 @@ let replay_sync cex =
 
 let sync_cex_confirmed cex =
   let o = replay_sync cex in
-  (not (Ba_sim.Engine.agreement_holds o)) || not (Ba_sim.Engine.validity_holds o)
+  (not (Ba_sim.Run.agreement_holds o)) || not (Ba_sim.Run.validity_holds o)
 
 (* ------------------------------------------------------------------ *)
 (* JSON (counterexample files)                                         *)
@@ -895,19 +895,12 @@ let replay_async cex =
     ~seed:0L ()
 
 let async_cex_confirmed cex =
-  let o = replay_async cex in
-  let outs = ref [] in
-  Array.iteri
-    (fun v out ->
-      match out with
-      | Some x when not o.Ba_async.Async_engine.corrupted.(v) -> outs := (v, x) :: !outs
-      | Some _ | None -> ())
-    o.Ba_async.Async_engine.outputs;
-  let values = List.sort_uniq compare (List.map snd !outs) in
+  let outs = Ba_sim.Run.honest_outputs (replay_async cex) in
+  let values = List.sort_uniq compare (List.map snd outs) in
   let split = List.length values > 1 in
   let invalid =
     (not (List.mem cex.ac_broadcaster cex.ac_byz))
-    && List.exists (fun (_, x) -> x <> cex.ac_input) !outs
+    && List.exists (fun (_, x) -> x <> cex.ac_input) outs
   in
   split || invalid
 

@@ -105,10 +105,10 @@ val verify_sync :
 (** [replay_sync cex] — re-execute the counterexample through the real
     [Ba_sim.Engine.run] with a tape adversary (silent once the tape ends)
     and the recorded dealer coins. *)
-val replay_sync : sync_cex -> Ba_sim.Engine.outcome
+val replay_sync : sync_cex -> Ba_sim.Run.outcome
 
 (** [sync_cex_confirmed cex] — the replayed outcome indeed violates
-    agreement or validity ([Ba_sim.Engine.agreement_holds] /
+    agreement or validity ([Ba_sim.Run.agreement_holds] /
     [validity_holds] on the full run). *)
 val sync_cex_confirmed : sync_cex -> bool
 
@@ -147,7 +147,7 @@ val verify_async :
     at [n] per step), which can force an out-of-tape FIFO delivery early —
     {!async_cex_confirmed} re-checks the outcome rather than trusting the
     mapping. *)
-val replay_async : async_cex -> Ba_async.Async_engine.outcome
+val replay_async : async_cex -> Ba_sim.Run.outcome
 
 val async_cex_confirmed : async_cex -> bool
 

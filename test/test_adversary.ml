@@ -82,10 +82,10 @@ let test_killer_spends_in_committee () =
     Ba_sim.Engine.run ~record:true ~max_rounds:500 ~protocol:inst.protocol ~adversary:adv ~n ~t
       ~inputs:(Setups.inputs Setups.Split ~n ~t) ~seed:7L ()
   in
-  Alcotest.(check bool) "run clean" true (Ba_sim.Engine.agreement_holds o);
+  Alcotest.(check bool) "run clean" true (Ba_sim.Run.agreement_holds o);
   Alcotest.(check bool) "spent something" true (o.corruptions_used > 0);
   List.iter
-    (fun (r : Ba_sim.Engine.round_record) ->
+    (fun (r : Ba_sim.Run.round_record) ->
       match r.rr_new_corruptions with
       | [] -> ()
       | victims ->
@@ -124,8 +124,8 @@ let test_crash_killer_weaker_than_byzantine () =
           ~n ~t ~inputs:(Setups.inputs Setups.Split ~n ~t)
           ~seed:(Int64.of_int (seed * 101)) ()
       in
-      Alcotest.(check bool) "agreement" true (Ba_sim.Engine.agreement_holds o);
-      Ba_stats.Summary.add_int s o.rounds
+      Alcotest.(check bool) "agreement" true (Ba_sim.Run.agreement_holds o);
+      Ba_stats.Summary.add_int s (Ba_sim.Run.span_units o.span)
     done;
     Ba_stats.Summary.mean s
   in
@@ -193,7 +193,7 @@ let test_splitter_optimality_on_crafted_flips () =
         ~adversary:(Ba_adversary.Coin_adv.splitter ~designated:(fun _ -> true))
         ~n ~t:budget ~inputs:(Array.make n 0) ~seed ()
     in
-    if not (Ba_sim.Engine.agreement_holds o) then incr successes
+    if not (Ba_sim.Run.agreement_holds o) then incr successes
   done;
   Alcotest.(check int) "splits exactly when predicted" !predicted !successes
 
@@ -209,7 +209,7 @@ let test_biaser_biases () =
       Ba_sim.Engine.run ~max_rounds:2 ~protocol:Ba_core.Common_coin.algorithm1 ~adversary:adv
         ~n ~t:budget ~inputs:(Array.make n 0) ~seed:(Int64.of_int (s * 77)) ()
     in
-    match Ba_sim.Engine.honest_outputs o with
+    match Ba_sim.Run.honest_outputs o with
     | (_, 1) :: _ -> incr ones
     | _ -> ()
   done;

@@ -15,12 +15,12 @@ let alg3 = Setups.Alg3 { alpha = 2.0; coin_round = `Piggyback }
 let check_clean name (o, violations) =
   Alcotest.(check (list string)) (name ^ ": no violations") []
     (List.map (fun v -> Format.asprintf "%a" Ba_trace.Checker.pp_violation v) violations);
-  Alcotest.(check bool) (name ^ ": completed") true o.Ba_sim.Engine.completed
+  Alcotest.(check bool) (name ^ ": completed") true o.Ba_sim.Run.completed
 
 let test_honest_run_converges_fast () =
   let o, v = run_checked ~protocol:alg3 ~adversary:Setups.Silent ~n:40 ~t:13 ~seed:1L () in
   check_clean "silent" (o, v);
-  Alcotest.(check bool) "few rounds" true (o.rounds <= 8)
+  Alcotest.(check bool) "few rounds" true (Ba_sim.Run.span_units o.span <= 8)
 
 let test_unanimous_inputs_two_phases () =
   List.iter
@@ -30,9 +30,9 @@ let test_unanimous_inputs_two_phases () =
           ~t:13 ~seed:2L ()
       in
       check_clean "unanimous" (o, v);
-      Alcotest.(check int) "4 rounds (decide + grace phase)" 4 o.rounds;
+      Alcotest.(check int) "4 rounds (decide + grace phase)" 4 (Ba_sim.Run.span_units o.span);
       List.iter (fun (_, out) -> Alcotest.(check int) "validity value" b out)
-        (Ba_sim.Engine.honest_outputs o))
+        (Ba_sim.Run.honest_outputs o))
     [ 0; 1 ]
 
 let test_validity_under_every_adversary () =
@@ -50,7 +50,7 @@ let test_validity_under_every_adversary () =
               Alcotest.(check int)
                 (Printf.sprintf "adv %s value %d" (Setups.adversary_name adversary) b)
                 b out)
-            (Ba_sim.Engine.honest_outputs o))
+            (Ba_sim.Run.honest_outputs o))
         [ 0; 1 ])
     [ Setups.Silent; Setups.Static_crash; Setups.Staggered_crash 2; Setups.Committee_killer;
       Setups.Equivocator; Setups.Lone_finisher 0; Setups.Random_noise 0.4 ]
@@ -84,9 +84,10 @@ let test_killer_costs_rounds () =
   in
   check_clean "killer" (o_killer, v);
   Alcotest.(check bool)
-    (Printf.sprintf "killer %d > silent %d rounds" o_killer.rounds o_silent.rounds)
+    (Printf.sprintf "killer %d > silent %d rounds" (Ba_sim.Run.span_units o_killer.span)
+       (Ba_sim.Run.span_units o_silent.span))
     true
-    (o_killer.rounds > (2 * o_silent.rounds))
+    (Ba_sim.Run.span_units o_killer.span > (2 * Ba_sim.Run.span_units o_silent.span))
 
 let test_early_termination_scales_with_q () =
   let n = 128 in
@@ -106,8 +107,8 @@ let test_early_termination_scales_with_q () =
       Ba_sim.Engine.run ~max_rounds:4000 ~protocol:inst.protocol ~adversary ~n ~t
         ~inputs:(Setups.inputs Setups.Split ~n ~t) ~seed:11L ()
     in
-    Alcotest.(check bool) "agreement" true (Ba_sim.Engine.agreement_holds o);
-    o.rounds
+    Alcotest.(check bool) "agreement" true (Ba_sim.Run.agreement_holds o);
+    Ba_sim.Run.span_units o.span
   in
   let r0 = rounds_at 0 and r16 = rounds_at 16 and r42 = rounds_at 42 in
   Alcotest.(check bool) (Printf.sprintf "r0=%d small" r0) true (r0 <= 8);
@@ -197,7 +198,7 @@ let test_lone_finisher_window () =
        (Ba_trace.Checker.standard ~rounds_per_phase:2 o));
   let finish_round target =
     List.find_map
-      (fun (r : Ba_sim.Engine.round_record) ->
+      (fun (r : Ba_sim.Run.round_record) ->
         match r.rr_views.(target) with
         | Some { Ba_sim.Protocol.nv_finished = true; _ } -> Some r.rr_round
         | _ -> None)
@@ -206,7 +207,7 @@ let test_lone_finisher_window () =
   match finish_round 5 with
   | Some r5 ->
       Alcotest.(check bool) "target finished early" true (r5 <= 4);
-      Alcotest.(check bool) "rest within window" true (o.rounds - r5 <= 6)
+      Alcotest.(check bool) "rest within window" true (Ba_sim.Run.span_units o.span - r5 <= 6)
   | None -> Alcotest.fail "target never finished"
 
 let test_literal_termination_exploitable () =
@@ -229,10 +230,10 @@ let test_literal_termination_exploitable () =
   let literal_bad = ref 0 in
   for s = 1 to 12 do
     let o = run_with ~termination:`Literal ~seed:(Int64.of_int s) in
-    if (not o.completed) || not (Ba_sim.Engine.agreement_holds o) then incr literal_bad;
+    if (not o.completed) || not (Ba_sim.Run.agreement_holds o) then incr literal_bad;
     let o' = run_with ~termination:`Extra_phase ~seed:(Int64.of_int s) in
     Alcotest.(check bool) "extra-phase clean" true
-      (o'.completed && Ba_sim.Engine.agreement_holds o')
+      (o'.completed && Ba_sim.Run.agreement_holds o')
   done;
   Alcotest.(check bool)
     (Printf.sprintf "literal reading breaks on %d/12 seeds" !literal_bad)
@@ -251,7 +252,7 @@ let test_literal_termination_fine_without_attack () =
         ~inputs:(Setups.inputs Setups.Split ~n:40 ~t:13)
         ~seed:(Int64.of_int s) ()
     in
-    Alcotest.(check bool) "clean" true (o.completed && Ba_sim.Engine.agreement_holds o)
+    Alcotest.(check bool) "clean" true (o.completed && Ba_sim.Run.agreement_holds o)
   done
 
 (* Property: random adversaries (random corruption schedule + random
@@ -268,7 +269,7 @@ let prop_random_adversary_safe =
           ~adversary:(Setups.Random_noise (float_of_int noise /. 100.))
           ~n:22 ~t:7 ~seed ()
       in
-      violations = [] && o.Ba_sim.Engine.completed)
+      violations = [] && o.Ba_sim.Run.completed)
 
 let prop_killer_safe_any_seed =
   QCheck.Test.make ~name:"committee-killer never breaks invariants" ~count:30 QCheck.int64

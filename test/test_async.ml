@@ -27,7 +27,7 @@ let test_echo_delivers_everything () =
       ~inputs:[| 1; 0; 0; 0; 0 |] ~seed:1L ()
   in
   Alcotest.(check bool) "completed" true o.completed;
-  Alcotest.(check int) "deliveries" 5 o.deliveries;
+  Alcotest.(check int) "deliveries" 5 (Ba_sim.Metrics.messages o.metrics);
   Array.iter (fun out -> Alcotest.(check (option int)) "all got 1" (Some 1) out) o.outputs
 
 let test_deadlock_detected () =
@@ -67,7 +67,7 @@ let test_corruption_retracts_messages () =
       ~inputs:[| 1; 0; 0; 0 |] ~seed:3L ()
   in
   Alcotest.(check bool) "receivers starve" false o.completed;
-  Alcotest.(check int) "no deliveries" 0 o.deliveries
+  Alcotest.(check int) "no deliveries" 0 (Ba_sim.Metrics.messages o.metrics)
 
 let test_injection_requires_corruption () =
   (* Injections from honest nodes are dropped. *)
@@ -101,7 +101,7 @@ let test_ben_or_validity () =
         ben_or_run ~adversary:Async_engine.fifo ~inputs:(Array.make 11 b) ~seed:5L ()
       in
       Alcotest.(check bool) "completed" true o.completed;
-      Alcotest.(check bool) "validity" true (Async_engine.validity_holds o);
+      Alcotest.(check bool) "validity" true (Ba_sim.Run.validity_holds o);
       List.iter (fun out -> Alcotest.(check (option int)) "value" (Some b) out)
         (Array.to_list o.outputs))
     [ 0; 1 ]
@@ -116,7 +116,7 @@ let test_ben_or_agreement_random_scheduler () =
     in
     Alcotest.(check bool) (Printf.sprintf "seed %d completed" s) true o.completed;
     Alcotest.(check bool) (Printf.sprintf "seed %d agreement" s) true
-      (Async_engine.agreement_holds o)
+      (Ba_sim.Run.agreement_holds o)
   done
 
 let test_ben_or_agreement_byzantine () =
@@ -128,7 +128,7 @@ let test_ben_or_agreement_byzantine () =
         ~seed:(Int64.of_int s) ()
     in
     Alcotest.(check bool) (Printf.sprintf "seed %d clean" s) true
-      (o.completed && Async_engine.agreement_holds o);
+      (o.completed && Ba_sim.Run.agreement_holds o);
     Alcotest.(check bool) "budget respected" true (o.corruptions_used <= 2)
   done
 
@@ -141,7 +141,7 @@ let test_ben_or_validity_under_attack () =
             ~adversary:(Async_adv.ben_or_splitter ~rng:(Ba_prng.Rng.create (Int64.of_int s)))
             ~inputs:(Array.make 11 b) ~seed:(Int64.of_int s) ()
         in
-        Alcotest.(check bool) "clean" true (o.completed && Async_engine.validity_holds o)
+        Alcotest.(check bool) "clean" true (o.completed && Ba_sim.Run.validity_holds o)
       done)
     [ 0; 1 ]
 
@@ -165,7 +165,7 @@ let test_ben_or_flooder () =
         ~seed:(Int64.of_int s) ()
     in
     Alcotest.(check bool) (Printf.sprintf "seed %d clean" s) true
-      (o.completed && Async_engine.agreement_holds o)
+      (o.completed && Ba_sim.Run.agreement_holds o)
   done
 
 let test_ben_or_balancer_scheduling_attack () =
@@ -181,9 +181,9 @@ let test_ben_or_balancer_scheduling_attack () =
         Async_engine.run ~protocol:(Ben_or_async.make ~n ~t) ~adversary:(adversary_of s) ~n ~t
           ~inputs ~seed:(Int64.of_int s) ()
       in
-      Alcotest.(check bool) "clean" true (o.completed && Async_engine.agreement_holds o);
+      Alcotest.(check bool) "clean" true (o.completed && Ba_sim.Run.agreement_holds o);
       Alcotest.(check int) "zero corruptions" 0 o.corruptions_used;
-      acc := !acc + o.deliveries
+      acc := !acc + (Ba_sim.Metrics.messages o.metrics)
     done;
     !acc
   in
@@ -211,7 +211,7 @@ let prop_ben_or_random_inputs_safe =
           ~adversary:(Async_adv.random_scheduler ~rng:(Ba_prng.Rng.create seed))
           ~n ~t ~inputs ~seed ()
       in
-      o.completed && Async_engine.agreement_holds o && Async_engine.validity_holds o)
+      o.completed && Ba_sim.Run.agreement_holds o && Ba_sim.Run.validity_holds o)
 
 let () =
   Alcotest.run "ba_async"

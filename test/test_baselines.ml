@@ -11,7 +11,7 @@ let run_checked ?(pattern = Setups.Split) ~protocol ~adversary ~n ~t ~seed () =
 let check_clean name (o, violations) =
   Alcotest.(check (list string)) (name ^ ": no violations") []
     (List.map (fun v -> Format.asprintf "%a" Ba_trace.Checker.pp_violation v) violations);
-  Alcotest.(check bool) (name ^ ": completed") true o.Ba_sim.Engine.completed
+  Alcotest.(check bool) (name ^ ": completed") true o.Ba_sim.Run.completed
 
 (* ---------------- Chor-Coan ---------------- *)
 
@@ -42,7 +42,7 @@ let test_chor_coan_validity () =
       in
       check_clean "cc validity" (o, v);
       List.iter (fun (_, out) -> Alcotest.(check int) "value" b out)
-        (Ba_sim.Engine.honest_outputs o))
+        (Ba_sim.Run.honest_outputs o))
     [ 0; 1 ]
 
 let test_chor_coan_slower_than_alg3 () =
@@ -58,7 +58,7 @@ let test_chor_coan_slower_than_alg3 () =
           ~seed:(Int64.of_int (seed * 13)) ()
       in
       check_clean "run" (o, v);
-      Ba_stats.Summary.add_int s o.Ba_sim.Engine.rounds
+      Ba_stats.Summary.add_int s (Ba_sim.Run.span_units o.span)
     done;
     Ba_stats.Summary.mean s
   in
@@ -76,7 +76,8 @@ let test_rabin_fast_and_clean () =
     in
     check_clean "rabin" (o, v);
     (* Dealer coin matches b_i with prob 1/2 per phase: runs are short. *)
-    Alcotest.(check bool) (Printf.sprintf "short run (%d rounds)" o.rounds) true (o.rounds <= 30)
+    let rounds = Ba_sim.Run.span_units o.span in
+    Alcotest.(check bool) (Printf.sprintf "short run (%d rounds)" rounds) true (rounds <= 30)
   done
 
 let test_rabin_dealer_consistency () =
@@ -108,7 +109,7 @@ let test_local_coin_slower_than_shared () =
         run_checked ~protocol:proto ~adversary:Setups.Silent ~n:13 ~t:4
           ~seed:(Int64.of_int (s * 7)) ()
       in
-      acc := !acc + o.Ba_sim.Engine.rounds
+      acc := !acc + Ba_sim.Run.span_units o.span
     done;
     !acc
   in
@@ -124,7 +125,7 @@ let test_phase_king_deterministic_rounds () =
     run_checked ~protocol:Setups.Phase_king ~adversary:Setups.Silent ~n ~t ~seed:1L ()
   in
   check_clean "phase king" (o, v);
-  Alcotest.(check int) "exactly 2(t+1) rounds" (2 * (t + 1)) o.Ba_sim.Engine.rounds
+  Alcotest.(check int) "exactly 2(t+1) rounds" (2 * (t + 1)) (Ba_sim.Run.span_units o.span)
 
 let test_phase_king_validity_and_agreement () =
   List.iter
@@ -167,7 +168,7 @@ let test_phase_king_byzantine_king () =
     Ba_sim.Engine.run ~max_rounds:50 ~protocol:Ba_baselines.Phase_king.protocol
       ~adversary:evil_king ~n ~t ~inputs:(Array.init n (fun i -> i mod 2)) ~seed:3L ()
   in
-  Alcotest.(check bool) "agreement despite evil kings" true (Ba_sim.Engine.agreement_holds o)
+  Alcotest.(check bool) "agreement despite evil kings" true (Ba_sim.Run.agreement_holds o)
 
 (* ---------------- EIG ---------------- *)
 
@@ -175,7 +176,7 @@ let test_eig_round_count () =
   let n = 7 and t = 2 in
   let o, v = run_checked ~protocol:Setups.Eig ~adversary:Setups.Silent ~n ~t ~seed:1L () in
   check_clean "eig" (o, v);
-  Alcotest.(check int) "t+1 rounds" (t + 1) o.Ba_sim.Engine.rounds
+  Alcotest.(check int) "t+1 rounds" (t + 1) (Ba_sim.Run.span_units o.span)
 
 let test_eig_validity () =
   List.iter
@@ -186,7 +187,7 @@ let test_eig_validity () =
       in
       check_clean "eig validity" (o, v);
       List.iter (fun (_, out) -> Alcotest.(check int) "value" b out)
-        (Ba_sim.Engine.honest_outputs o))
+        (Ba_sim.Run.honest_outputs o))
     [ 0; 1 ]
 
 let test_eig_agreement_with_byzantine_values () =
@@ -206,7 +207,7 @@ let test_eig_agreement_with_byzantine_values () =
       Ba_sim.Engine.run ~max_rounds:10 ~protocol:Ba_baselines.Eig.protocol ~adversary:lying
         ~n:7 ~t:2 ~inputs:[| 0; 1; 0; 1; 0; 1; 0 |] ~seed:(Int64.of_int s) ()
     in
-    Alcotest.(check bool) "agreement" true (Ba_sim.Engine.agreement_holds o)
+    Alcotest.(check bool) "agreement" true (Ba_sim.Run.agreement_holds o)
   done
 
 let test_eig_resolve_unit () =
@@ -230,7 +231,7 @@ let test_eig_message_blowup_metered () =
   (* EIG's CONGEST violation is visible in max message size. *)
   let o, _ = run_checked ~protocol:Setups.Eig ~adversary:Setups.Silent ~n:7 ~t:2 ~seed:9L () in
   Alcotest.(check bool) "messages grow beyond CONGEST" true
-    (Ba_sim.Metrics.max_bits_per_message o.Ba_sim.Engine.metrics > 64)
+    (Ba_sim.Metrics.max_bits_per_message o.Ba_sim.Run.metrics > 64)
 
 let prop_eig_agreement_random_inputs =
   QCheck.Test.make ~name:"eig agreement on random inputs" ~count:25
@@ -243,7 +244,7 @@ let prop_eig_agreement_random_inputs =
           ~adversary:(Ba_adversary.Generic.static_crash ~rng:(Ba_prng.Rng.create seed))
           ~n ~t:2 ~inputs ~seed ()
       in
-      Ba_sim.Engine.agreement_holds o && Ba_sim.Engine.validity_holds o)
+      Ba_sim.Run.agreement_holds o && Ba_sim.Run.validity_holds o)
 
 let () =
   Alcotest.run "ba_baselines"

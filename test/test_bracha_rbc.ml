@@ -8,11 +8,7 @@ let run ?(n = 10) ?(t = 3) ?(adversary = Async_engine.fifo) ~broadcaster ~value 
   inputs.(broadcaster) <- value;
   Async_engine.run ~protocol:(Bracha_rbc.make ~broadcaster) ~adversary ~n ~t ~inputs ~seed ()
 
-let deliveries (o : Async_engine.outcome) =
-  Array.to_list o.outputs
-  |> List.mapi (fun v out -> (v, out))
-  |> List.filter_map (fun (v, out) ->
-         if o.corrupted.(v) then None else Option.map (fun b -> (v, b)) out)
+let deliveries = Ba_sim.Run.honest_outputs
 
 let test_thresholds () =
   Alcotest.(check int) "echo n=10 t=3" 7 (Bracha_rbc.echo_threshold ~n:10 ~t:3);

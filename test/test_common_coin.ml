@@ -9,8 +9,8 @@ let test_no_adversary_all_agree () =
     let o =
       run_coin ~protocol:Ba_core.Common_coin.algorithm1 ~n:21 ~t:0 ~seed:(Int64.of_int s) ()
     in
-    Alcotest.(check bool) "one round" true (o.rounds = 1);
-    Alcotest.(check bool) "agreement" true (Ba_sim.Engine.agreement_holds o)
+    Alcotest.(check bool) "one round" true (Ba_sim.Run.span_units o.span = 1);
+    Alcotest.(check bool) "agreement" true (Ba_sim.Run.agreement_holds o)
   done
 
 let test_output_is_sign_of_sum () =
@@ -25,7 +25,7 @@ let test_output_is_sign_of_sum () =
   let expected = if sum >= 0 then 1 else 0 in
   List.iter
     (fun (_, b) -> Alcotest.(check int) "sign of sum" expected b)
-    (Ba_sim.Engine.honest_outputs o)
+    (Ba_sim.Run.honest_outputs o)
 
 let test_algorithm2_only_designated_count () =
   (* Designated = {0..3}; a silent run's coin is the sign of just their
@@ -40,9 +40,9 @@ let test_algorithm2_only_designated_count () =
   Array.iteri (fun v rng -> if designated v then sum := !sum + Ba_prng.Rng.sign rng) rngs;
   let expected = if !sum >= 0 then 1 else 0 in
   List.iter (fun (_, b) -> Alcotest.(check int) "designated-only sum" expected b)
-    (Ba_sim.Engine.honest_outputs o);
+    (Ba_sim.Run.honest_outputs o);
   (* all n nodes decide, not only designated ones *)
-  Alcotest.(check int) "all output" n (List.length (Ba_sim.Engine.honest_outputs o))
+  Alcotest.(check int) "all output" n (List.length (Ba_sim.Run.honest_outputs o))
 
 let test_invalid_flips_ignored () =
   (* A Byzantine designated node sending garbage (value 7) must not crash
@@ -61,7 +61,7 @@ let test_invalid_flips_ignored () =
       ~seed:5L ()
   in
   Alcotest.(check bool) "still agree (garbage dropped everywhere)" true
-    (Ba_sim.Engine.agreement_holds o)
+    (Ba_sim.Run.agreement_holds o)
 
 let test_splitter_splits_when_affordable () =
   (* Tiny committee, huge budget: the splitter must prevent a common coin
@@ -75,7 +75,7 @@ let test_splitter_splits_when_affordable () =
         ~adversary:(Ba_adversary.Coin_adv.splitter ~designated:(fun _ -> true))
         ~protocol:Ba_core.Common_coin.algorithm1 ~n ~t:5 ~seed:(Int64.of_int s) ()
     in
-    if not (Ba_sim.Engine.agreement_holds o) then incr split_count
+    if not (Ba_sim.Run.agreement_holds o) then incr split_count
   done;
   Alcotest.(check bool) (Printf.sprintf "splits %d/50" !split_count) true (!split_count > 10)
 
@@ -174,9 +174,9 @@ let prop_model_matches_engine =
       let sum = Array.fold_left (fun acc rng -> acc + Ba_prng.Rng.sign rng) 0 rngs in
       match Ba_core.Common_coin.commons ~flippers:n ~sum ~budget with
       | Some b ->
-          Ba_sim.Engine.agreement_holds o
-          && List.for_all (fun (_, out) -> out = b) (Ba_sim.Engine.honest_outputs o)
-      | None -> not (Ba_sim.Engine.agreement_holds o))
+          Ba_sim.Run.agreement_holds o
+          && List.for_all (fun (_, out) -> out = b) (Ba_sim.Run.honest_outputs o)
+      | None -> not (Ba_sim.Run.agreement_holds o))
 
 let prop_success_prob_above_bound =
   QCheck.Test.make ~name:"Pr(Comm) >= 1/6 at the paper limit" ~count:20

@@ -123,7 +123,7 @@ let exec_setup run ~domains ~n ~t ~seed =
   let inputs = Ba_experiments.Setups.inputs Ba_experiments.Setups.Split ~n ~t in
   run.Ba_experiments.Setups.exec ~domains ~record:true ~inputs ~seed ()
 
-let check_outcomes_equal label (a : Ba_sim.Engine.outcome) b =
+let check_outcomes_equal label (a : Ba_sim.Run.outcome) b =
   Alcotest.(check bool) (label ^ ": identical outcome") true (a = b)
 
 let engine_case ~protocol ~adversary ~faults ~n ~t ~seed label =

@@ -49,8 +49,8 @@ let engine_mean ~n ~t ~trials =
     in
     let inputs = Ba_experiments.Setups.inputs Ba_experiments.Setups.Split ~n ~t in
     let o = run.exec ~record:false ~inputs ~seed:(Int64.of_int (i * 1009)) () in
-    assert (Ba_sim.Engine.agreement_holds o);
-    Ba_stats.Summary.add_int s o.Ba_sim.Engine.rounds
+    assert (Ba_sim.Run.agreement_holds o);
+    Ba_stats.Summary.add_int s (Ba_sim.Run.span_units o.span)
   done;
   s
 

@@ -166,13 +166,13 @@ let test_benign_faults_audit () =
      opted in via allow_faults. *)
   let clean = outcome ~faults:None ~seed:5L in
   Alcotest.(check int) "clean run has no fault events" 0
-    (Metrics.fault_events clean.Ba_sim.Engine.metrics);
+    (Metrics.fault_events clean.Ba_sim.Run.metrics);
   Alcotest.(check int) "audit quiet on clean run" 0
     (List.length (Ba_trace.Checker.benign_faults clean));
   let faults = { Ba_experiments.Setups.no_faults with fs_drop = 0.3 } in
   let faulty = outcome ~faults:(Some faults) ~seed:5L in
   Alcotest.(check bool) "faults metered" true
-    (Metrics.fault_events faulty.Ba_sim.Engine.metrics > 0);
+    (Metrics.fault_events faulty.Ba_sim.Run.metrics > 0);
   Alcotest.(check bool) "audit fires" true
     (Ba_trace.Checker.benign_faults faulty <> []);
   Alcotest.(check bool) "standard checker opts out via allow_faults" true
@@ -184,7 +184,7 @@ let test_faulty_run_deterministic () =
   let faults = { Ba_experiments.Setups.no_faults with fs_drop = 0.2; fs_duplicate = 0.1 } in
   let a = outcome ~faults:(Some faults) ~seed:17L in
   let b = outcome ~faults:(Some faults) ~seed:17L in
-  Alcotest.(check int) "same rounds" a.Ba_sim.Engine.rounds b.Ba_sim.Engine.rounds;
+  Alcotest.(check bool) "same span" true (a.span = b.span);
   Alcotest.(check bool) "same outputs" true (a.outputs = b.outputs);
   Alcotest.(check int) "same fault exposure"
     (Metrics.fault_events a.metrics)

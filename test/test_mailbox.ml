@@ -198,15 +198,15 @@ let prop_fifo_per_link =
         Async_engine.run ~protocol ~adversary:Async_engine.fifo ~faults ~n ~t:0
           ~inputs:(Array.make n 0) ~seed ()
       in
-      o.Async_engine.completed
+      o.Ba_sim.Run.completed
       && Metrics.link_duplicates o.metrics > 0
       && Metrics.crash_silences o.metrics > 0
       && Array.for_all (fun l -> first_occurrences_increasing (List.rev l) ~n) logs)
 
 (* ---------------- fast-path byte-identity ---------------- *)
 
-let same_outcome (a : Async_engine.outcome) (b : Async_engine.outcome) =
-  a.steps = b.steps && a.deliveries = b.deliveries && a.completed = b.completed
+let same_outcome (a : Ba_sim.Run.outcome) (b : Ba_sim.Run.outcome) =
+  a.span = b.span && a.completed = b.completed
   && a.outputs = b.outputs && a.corrupted = b.corrupted
   && a.corruptions_used = b.corruptions_used
   && Metrics.messages a.metrics = Metrics.messages b.metrics

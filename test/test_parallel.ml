@@ -40,10 +40,10 @@ let test_more_domains_than_trials () =
 
 let test_fail_fast_reports_lowest_trial () =
   let run = runner () in
-  let bogus o =
+  let bogus (o : Ba_sim.Run.outcome) =
     (* Fire only on trials whose round count is even — arbitrary but
        deterministic; the reported trial must be the lowest firing one. *)
-    if o.Ba_sim.Engine.rounds mod 2 = 0 then
+    if Ba_sim.Run.span_units o.span mod 2 = 0 then
       [ { Ba_trace.Checker.check = "bogus"; detail = "even rounds" } ]
     else []
   in
@@ -101,8 +101,8 @@ let test_fail_fast_message_domain_independent () =
   (* Chunk results are sorted by trial before selection, so the cited trial
      must not depend on how trials were split across domains. *)
   let run = runner () in
-  let bogus o =
-    if o.Ba_sim.Engine.rounds mod 2 = 0 then
+  let bogus (o : Ba_sim.Run.outcome) =
+    if Ba_sim.Run.span_units o.span mod 2 = 0 then
       [ { Ba_trace.Checker.check = "bogus"; detail = "even rounds" } ]
     else []
   in

@@ -60,7 +60,17 @@ let test_json_parse_errors () =
       match Json.of_string bad with
       | exception Json.Parse_error _ -> ()
       | _ -> Alcotest.failf "accepted malformed input %S" bad)
-    [ ""; "{"; "[1,]"; "{\"a\":}"; "nul"; "1 2"; "\"unterminated"; "\"ctrl\n\"" ]
+    [ ""; "{"; "[1,]"; "{\"a\":}"; "nul"; "1 2"; "\"unterminated"; "\"ctrl\n\"";
+      (* \u takes exactly four hex digits *)
+      "\"\\u12_3\""; "\"\\u+123\""; "\"\\u12\"";
+      (* the JSON number grammar: no leading zero, digits after '.', digits
+         in the exponent *)
+      "1."; "01"; "-01"; "[01]"; "-"; ".5"; "1.e3"; "1e"; "1e+"; "+1" ];
+  List.iter
+    (fun (good, expected) ->
+      Alcotest.(check string) ("accepts " ^ good) expected (Json.to_string (Json.of_string good)))
+    [ ("0", "0"); ("-0", "0"); ("10", "10"); ("-0.5", "-0.5"); ("1e3", "1000.0");
+      ("2.5E-1", "0.25"); ("\"\\u00e9\"", "\"\195\169\"") ]
 
 (* ---------------- Report ---------------- *)
 

@@ -52,7 +52,7 @@ let test_agreement_under_benign_faults () =
     let ro = a.Setups.arun_exec ~inputs ~seed:(Int64.of_int seed) () in
     Alcotest.(check (list string)) "no safety violation" []
       (List.map (Format.asprintf "%a" Checker.pp_violation)
-         (Checker.agreement_run ro @ Checker.validity_run ro))
+         (Checker.agreement ro @ Checker.validity ro))
   done
 
 let test_bracha_worst_case_scheduler () =
@@ -75,7 +75,7 @@ let test_bracha_worst_case_scheduler () =
       ro.Run.outputs;
     Alcotest.(check (list string)) "substrate audit clean" []
       (List.map (Format.asprintf "%a" Checker.pp_violation)
-         (Checker.standard_run ~allow_faults:true ro))
+         (Checker.standard ~allow_faults:true ro))
   done
 
 let test_async_step_cap_supervised () =
@@ -86,7 +86,7 @@ let test_async_step_cap_supervised () =
   match
     Supervisor.run_trial
       ~policy:(Supervisor.supervised ~round_cap:10 ())
-      ~seed:3L ~trial:0 ~view:Fun.id
+      ~seed:3L ~trial:0
       ~run:(fun ~seed ~trial:_ -> a.Setups.arun_exec ~inputs ~seed ())
   with
   | Ok _ -> Alcotest.fail "expected the step-budget watchdog to trip"
@@ -111,14 +111,12 @@ let test_parallel_matches_serial_on_crashing_async_trial () =
   in
   let sink_s = Supervisor.sink () and sink_p = Supervisor.sink () in
   let st_s =
-    Experiment.monte_carlo_view
-      ~policy:(Supervisor.supervised ~sink:sink_s ())
-      ~view:Fun.id ~trials:8 ~seed:11L ~run ()
+    Experiment.monte_carlo
+      ~policy:(Supervisor.supervised ~sink:sink_s ()) ~trials:8 ~seed:11L ~run ()
   in
   let st_p =
-    Parallel.monte_carlo_view ~domains:4
-      ~policy:(Supervisor.supervised ~sink:sink_p ())
-      ~view:Fun.id ~trials:8 ~seed:11L ~run ()
+    Parallel.monte_carlo ~domains:4
+      ~policy:(Supervisor.supervised ~sink:sink_p ()) ~trials:8 ~seed:11L ~run ()
   in
   Alcotest.(check int) "one failure (serial)" 1 (List.length st_s.Experiment.failures);
   Alcotest.(check bool) "identical failure records" true

@@ -15,7 +15,7 @@ let test_unanimous_stays () =
       let o = run ~n:32 ~t:0 ~inputs:(Array.make 32 b) ~seed:1L () in
       Alcotest.(check bool) "completed" true o.completed;
       List.iter (fun (_, out) -> Alcotest.(check int) "value" b out)
-        (Ba_sim.Engine.honest_outputs o))
+        (Ba_sim.Run.honest_outputs o))
     [ 0; 1 ]
 
 let test_unanimous_stays_under_attack () =
@@ -34,7 +34,7 @@ let test_unanimous_stays_under_attack () =
   let o = run ~adversary:adv ~n ~t:2 ~inputs ~seed:3L () in
   Alcotest.(check bool) "near-total agreement on 1" true
     (Ba_baselines.Sampling_majority.agreement_fraction o > 0.95);
-  match Ba_sim.Engine.honest_outputs o with
+  match Ba_sim.Run.honest_outputs o with
   | (_, b) :: _ -> Alcotest.(check int) "majority value wins" 1 b
   | [] -> Alcotest.fail "no outputs"
 
@@ -51,12 +51,13 @@ let test_split_converges_no_adversary () =
 
 let test_fixed_horizon_rounds () =
   let o = run ~rounds:(Some 7) ~n:16 ~t:0 ~inputs:(Array.make 16 1) ~seed:5L () in
-  Alcotest.(check int) "runs exactly the horizon" 7 o.rounds
+  Alcotest.(check int) "runs exactly the horizon" 7 (Ba_sim.Run.span_units o.span)
 
 let test_agreement_fraction_helper () =
-  let mk outputs corrupted : Ba_sim.Engine.outcome =
+  let mk outputs corrupted : Ba_sim.Run.outcome =
     { protocol_name = "x"; adversary_name = "y"; n = Array.length outputs; t = 1;
-      inputs = Array.make (Array.length outputs) 0; rounds = 1; completed = true; outputs;
+      inputs = Array.make (Array.length outputs) 0; span = Ba_sim.Run.Rounds 1; completed = true;
+      outputs;
       corrupted; corruptions_used = 0; metrics = Ba_sim.Metrics.create (); records = [] }
   in
   let o = mk [| Some 1; Some 1; Some 0; None |] [| false; false; false; true |] in
@@ -107,7 +108,7 @@ let prop_outputs_binary =
     QCheck.(pair int64 (int_range 4 40))
     (fun (seed, n) ->
       let o = run ~n ~t:0 ~inputs:(Array.init n (fun i -> i mod 2)) ~seed () in
-      List.for_all (fun (_, b) -> b = 0 || b = 1) (Ba_sim.Engine.honest_outputs o))
+      List.for_all (fun (_, b) -> b = 0 || b = 1) (Ba_sim.Run.honest_outputs o))
 
 let () =
   Alcotest.run "ba_sampling_majority"

@@ -33,12 +33,12 @@ let run ?(adversary = Ba_sim.Adversary.silent) ?(n = 5) ?(t = 1) ?(lifetime = 3)
 
 let test_round_count_and_completion () =
   let o = run ~lifetime:4 () in
-  Alcotest.(check int) "rounds = lifetime" 4 o.rounds;
+  Alcotest.(check int) "rounds = lifetime" 4 (Ba_sim.Run.span_units o.span);
   Alcotest.(check bool) "completed" true o.completed
 
 let test_max_rounds_cap () =
   let o = run ~lifetime:100 ~max_rounds:5 () in
-  Alcotest.(check int) "stopped at cap" 5 o.rounds;
+  Alcotest.(check int) "stopped at cap" 5 (Ba_sim.Run.span_units o.span);
   Alcotest.(check bool) "not completed" false o.completed
 
 let test_outputs () =
@@ -132,7 +132,7 @@ let test_byzantine_equivocation_delivery () =
 let test_halted_nodes_stop_sending () =
   (* lifetime 1: everyone halts after round 1; engine must stop. *)
   let o = run ~lifetime:1 () in
-  Alcotest.(check int) "one round" 1 o.rounds;
+  Alcotest.(check int) "one round" 1 (Ba_sim.Run.span_units o.span);
   Alcotest.(check bool) "completed" true o.completed
 
 let test_input_validation () =
@@ -144,25 +144,25 @@ let test_input_validation () =
     (fun () -> ignore (run ~n:3 ~t:0 ~inputs:(Some [| 0; 2; 0 |]) ()))
 
 let test_agreement_validity_helpers () =
-  let mk outputs corrupted inputs : Ba_sim.Engine.outcome =
+  let mk outputs corrupted inputs : Ba_sim.Run.outcome =
     { protocol_name = "x"; adversary_name = "y"; n = Array.length outputs; t = 1; inputs;
-      rounds = 1; completed = true; outputs; corrupted;
+      span = Ba_sim.Run.Rounds 1; completed = true; outputs; corrupted;
       corruptions_used = Array.fold_left (fun a c -> if c then a + 1 else a) 0 corrupted;
       metrics = Ba_sim.Metrics.create (); records = [] }
   in
   let o = mk [| Some 1; Some 1; None |] [| false; false; true |] [| 1; 1; 0 |] in
-  Alcotest.(check bool) "agreement" true (Ba_sim.Engine.agreement_holds o);
-  Alcotest.(check bool) "validity (honest inputs 1)" true (Ba_sim.Engine.validity_holds o);
+  Alcotest.(check bool) "agreement" true (Ba_sim.Run.agreement_holds o);
+  Alcotest.(check bool) "validity (honest inputs 1)" true (Ba_sim.Run.validity_holds o);
   let o2 = mk [| Some 1; Some 0; None |] [| false; false; true |] [| 1; 1; 0 |] in
-  Alcotest.(check bool) "disagreement detected" false (Ba_sim.Engine.agreement_holds o2);
-  Alcotest.(check bool) "validity violated" false (Ba_sim.Engine.validity_holds o2);
+  Alcotest.(check bool) "disagreement detected" false (Ba_sim.Run.agreement_holds o2);
+  Alcotest.(check bool) "validity violated" false (Ba_sim.Run.validity_holds o2);
   (* mixed honest inputs: validity vacuous *)
   let o3 = mk [| Some 0; Some 0; None |] [| false; false; true |] [| 1; 0; 1 |] in
-  Alcotest.(check bool) "validity vacuous on mixed inputs" true (Ba_sim.Engine.validity_holds o3);
+  Alcotest.(check bool) "validity vacuous on mixed inputs" true (Ba_sim.Run.validity_holds o3);
   (* missing output = agreement failure via all_honest_decided *)
   let o4 = mk [| Some 1; None; None |] [| false; false; true |] [| 1; 1; 0 |] in
   Alcotest.(check bool) "undecided honest breaks agreement" false
-    (Ba_sim.Engine.agreement_holds o4)
+    (Ba_sim.Run.agreement_holds o4)
 
 let test_metrics_bits () =
   let o = run ~n:4 ~t:0 ~lifetime:2 () in
@@ -176,7 +176,7 @@ let test_records () =
   let o = run ~n:4 ~t:1 ~lifetime:3 ~record:true () in
   Alcotest.(check int) "one record per round" 3 (List.length o.records);
   List.iteri
-    (fun i (r : Ba_sim.Engine.round_record) ->
+    (fun i (r : Ba_sim.Run.round_record) ->
       Alcotest.(check int) "rounds in order" (i + 1) r.rr_round)
     o.records
 

@@ -447,7 +447,7 @@ let test_ks_validity_unanimous () =
         run_once ~protocol:(Ba_experiments.Setups.Ks_sample { degree = 0 }) ~n:64 ~t:0
           ~pattern:(Ba_experiments.Setups.Unanimous b) ~seed:77L
       in
-      Alcotest.(check bool) "completed" true o.Ba_sim.Engine.completed;
+      Alcotest.(check bool) "completed" true o.Ba_sim.Run.completed;
       Array.iter
         (fun out -> Alcotest.(check (option int)) "unanimous output" (Some b) out)
         o.outputs)
@@ -462,12 +462,12 @@ let test_ks_agreement_over_seeds () =
             ~seed:(Int64.of_int seed)
         in
         Alcotest.(check bool)
-          (Printf.sprintf "%s seed %d completed" o.Ba_sim.Engine.protocol_name seed)
+          (Printf.sprintf "%s seed %d completed" o.Ba_sim.Run.protocol_name seed)
           true o.completed;
         Alcotest.(check bool)
           (Printf.sprintf "%s seed %d agreement" o.protocol_name seed)
           true
-          (Ba_sim.Engine.agreement_holds o))
+          (Ba_sim.Run.agreement_holds o))
       [ Ba_experiments.Setups.Ks_sample { degree = 0 };
         Ba_experiments.Setups.Word_budget { degree = 0 } ]
   done
@@ -483,7 +483,7 @@ let test_word_budget_saves_words () =
           run_once ~protocol ~n:128 ~t:0 ~pattern:Ba_experiments.Setups.Split
             ~seed:(Int64.of_int seed)
         in
-        acc + Ba_sim.Metrics.words o.Ba_sim.Engine.metrics)
+        acc + Ba_sim.Metrics.words o.Ba_sim.Run.metrics)
       0 [ 1; 2; 3; 4; 5 ]
   in
   let ks = total (Ba_experiments.Setups.Ks_sample { degree = 11 }) in

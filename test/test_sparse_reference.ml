@@ -114,7 +114,8 @@ let reference_run ?faults ~topology ~(protocol : ('s, 'm) Protocol.t)
   { Run.protocol_name = protocol.name; adversary_name = adversary.adv_name; n; t;
     inputs = Array.copy inputs; span = Run.Rounds !round; completed = finished ();
     outputs = Array.init n (fun v -> if corrupted.(v) then None else protocol.output states.(v));
-    corrupted = Array.copy corrupted; corruptions_used = !used; metrics }
+    corrupted = Array.copy corrupted; corruptions_used = !used; metrics;
+    records = [] }
 
 (* ---------------- inbox logging ---------------- *)
 
@@ -205,9 +206,8 @@ let check_case ~label ~protocol ~adversary ~faults ~topology ~seed =
     (fun (shards, sharder) ->
       let eng_p, eng_log = logged protocol ~n in
       let got =
-        Engine.to_run
-          (Engine.run ~max_rounds ?faults ~sharder ~topology ~protocol:eng_p
-             ~adversary:(adversary ()) ~n ~t ~inputs ~seed ())
+        Engine.run ~max_rounds ?faults ~sharder ~topology ~protocol:eng_p
+          ~adversary:(adversary ()) ~n ~t ~inputs ~seed ()
       in
       let what =
         Printf.sprintf "%s, %s, seed %Ld, shards %s" label (Topology.plan_name topology) seed shards

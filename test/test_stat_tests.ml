@@ -85,9 +85,8 @@ let test_ks_engine_vs_model_rounds () =
             ~adversary:Ba_experiments.Setups.Committee_killer ~n ~t
         in
         let inputs = Ba_experiments.Setups.inputs Ba_experiments.Setups.Split ~n ~t in
-        float_of_int
-          (run.exec ~record:false ~inputs ~seed:(Int64.of_int (i * 131)) ())
-            .Ba_sim.Engine.rounds)
+        let o = run.exec ~record:false ~inputs ~seed:(Int64.of_int (i * 131)) () in
+        float_of_int (Ba_sim.Run.span_units o.span))
   in
   let rng = Ba_prng.Rng.create 11L in
   let model_samples =

@@ -78,11 +78,11 @@ let engine_pairs : (string * Ba_experiments.Setups.adversary_kind * Strategy.gen
     ("lone-finisher", Lone_finisher 0, Strategy.lone_finisher_point ~target:0);
     ("random-noise", Random_noise 0.4, Strategy.random_noise_point ~corrupt_prob:0.4) ]
 
-let outcome_fingerprint (o : Ba_sim.Engine.outcome) =
-  ( o.Ba_sim.Engine.rounds,
-    o.Ba_sim.Engine.completed,
-    Ba_sim.Engine.agreement_holds o,
-    Ba_sim.Engine.honest_outputs o )
+let outcome_fingerprint (o : Ba_sim.Run.outcome) =
+  ( Ba_sim.Run.span_units o.span,
+    o.Ba_sim.Run.completed,
+    Ba_sim.Run.agreement_holds o,
+    Ba_sim.Run.honest_outputs o )
 
 let test_engine_identity () =
   let n = 16 and t = 5 in

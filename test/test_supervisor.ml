@@ -40,16 +40,16 @@ let test_seed_derivation () =
 (* ---------------- run_trial barrier & watchdog ---------------- *)
 
 let test_run_trial_ok () =
-  match Supervisor.run_trial ~policy:Supervisor.default ~seed:3L ~trial:0 ~view:Ba_sim.Engine.to_run ~run:(runner ()) with
-  | Ok o -> Alcotest.(check bool) "real outcome" true (o.Ba_sim.Engine.rounds > 0)
+  match Supervisor.run_trial ~policy:Supervisor.default ~seed:3L ~trial:0 ~run:(runner ()) with
+  | Ok o -> Alcotest.(check bool) "real outcome" true (Ba_sim.Run.span_units o.span > 0)
   | Error f -> Alcotest.failf "unexpected failure: %s" (Supervisor.failure_message f)
 
-let crash_run ~seed:_ ~trial:_ : Ba_sim.Engine.outcome = failwith "poisoned trial"
+let crash_run ~seed:_ ~trial:_ : Ba_sim.Run.outcome = failwith "poisoned trial"
 
 let test_run_trial_crash_record () =
   let go () =
     Supervisor.run_trial ~policy:(Supervisor.supervised ~retries:2 ()) ~seed:3L ~trial:7
-      ~view:Ba_sim.Engine.to_run ~run:crash_run
+      ~run:crash_run
   in
   match (go (), go ()) with
   | Error a, Error b ->
@@ -74,15 +74,13 @@ let test_retry_recovers () =
     else real ~seed ~trial
   in
   (match
-     Supervisor.run_trial ~policy:(Supervisor.supervised ()) ~seed:5L ~trial:1
-       ~view:Ba_sim.Engine.to_run ~run:flaky
+     Supervisor.run_trial ~policy:(Supervisor.supervised ()) ~seed:5L ~trial:1 ~run:flaky
    with
   | Error f ->
       Alcotest.(check int) "no retries: one attempt" 1 f.Supervisor.f_attempts
   | Ok _ -> Alcotest.fail "expected the first attempt to fail");
   match
-    Supervisor.run_trial ~policy:(Supervisor.supervised ~retries:1 ()) ~seed:5L ~trial:1
-      ~view:Ba_sim.Engine.to_run ~run:flaky
+    Supervisor.run_trial ~policy:(Supervisor.supervised ~retries:1 ()) ~seed:5L ~trial:1 ~run:flaky
   with
   | Ok _ -> ()
   | Error f -> Alcotest.failf "retry did not recover: %s" (Supervisor.failure_message f)
@@ -93,7 +91,7 @@ let test_watchdog_round_cap () =
   match
     Supervisor.run_trial
       ~policy:(Supervisor.supervised ~round_cap:1 ~retries:1 ())
-      ~seed:3L ~trial:0 ~view:Ba_sim.Engine.to_run ~run:(runner ())
+      ~seed:3L ~trial:0 ~run:(runner ())
   with
   | Error f ->
       Alcotest.(check bool) "kind is round_cap" true

@@ -6,14 +6,14 @@ let nv ?(phase = 1) ?(finished = false) ~v ~decided () =
 
 let outcome ?(n = 4) ?(t = 1) ?(rounds = 3) ?(completed = true) ?(outputs = None)
     ?(corrupted = None) ?(corruptions_used = None) ?(inputs = None) ?(records = []) () :
-    Ba_sim.Engine.outcome =
+    Ba_sim.Run.outcome =
   let corrupted = Option.value corrupted ~default:(Array.make n false) in
   { protocol_name = "crafted";
     adversary_name = "crafted";
     n;
     t;
     inputs = Option.value inputs ~default:(Array.make n 1);
-    rounds;
+    span = Ba_sim.Run.Rounds rounds;
     completed;
     outputs = Option.value outputs ~default:(Array.make n (Some 1));
     corrupted;
@@ -74,7 +74,7 @@ let test_decided_coherence_checker () =
 
 let test_frozen_finishers_checker () =
   let records =
-    [ { Ba_sim.Engine.rr_round = 1; rr_new_corruptions = [];
+    [ { Ba_sim.Run.rr_round = 1; rr_new_corruptions = [];
         rr_views = [| nv ~v:1 ~decided:true ~finished:true (); None; None; None |] };
       { rr_round = 2; rr_new_corruptions = [];
         rr_views = [| nv ~v:0 ~decided:true ~finished:true (); None; None; None |] } ]
@@ -84,7 +84,7 @@ let test_frozen_finishers_checker () =
     (List.mem "frozen-finishers" (names (Ba_trace.Checker.frozen_finishers bad)));
   (* output mismatch *)
   let records =
-    [ { Ba_sim.Engine.rr_round = 1; rr_new_corruptions = [];
+    [ { Ba_sim.Run.rr_round = 1; rr_new_corruptions = [];
         rr_views = [| nv ~v:0 ~decided:true ~finished:true (); None; None; None |] } ]
   in
   let bad2 = outcome ~records ~outputs:(Some (Array.make 4 (Some 1))) () in
@@ -96,7 +96,7 @@ let test_frozen_finishers_deterministic () =
      be identical across repeated runs on the same trace, value-change
      violations first (chronological), then output mismatches by node id. *)
   let records =
-    [ { Ba_sim.Engine.rr_round = 1; rr_new_corruptions = [];
+    [ { Ba_sim.Run.rr_round = 1; rr_new_corruptions = [];
         rr_views =
           [| nv ~v:1 ~decided:true ~finished:true ();
              nv ~v:0 ~decided:true ~finished:true ();
@@ -126,7 +126,7 @@ let test_corruption_budget_order () =
   (* Same determinism contract for the budget checker: budget overflow
      first, then count incoherence, then chronological double corruptions. *)
   let records =
-    [ { Ba_sim.Engine.rr_round = 1; rr_new_corruptions = [ 0; 1 ]; rr_views = Array.make 4 None };
+    [ { Ba_sim.Run.rr_round = 1; rr_new_corruptions = [ 0; 1 ]; rr_views = Array.make 4 None };
       { rr_round = 2; rr_new_corruptions = [ 0; 1 ]; rr_views = Array.make 4 None } ]
   in
   let bad =
@@ -147,7 +147,7 @@ let test_termination_gap_checker () =
   let finished_views = [| nv ~v:1 ~decided:true ~finished:true (); None; None; None |] in
   let mk_records upto =
     List.init upto (fun i ->
-        { Ba_sim.Engine.rr_round = i + 1; rr_new_corruptions = [];
+        { Ba_sim.Run.rr_round = i + 1; rr_new_corruptions = [];
           rr_views = (if i = 0 then finished_views else Array.make 4 None) })
   in
   let ok = outcome ~rounds:6 ~records:(mk_records 6) () in
@@ -196,9 +196,38 @@ let test_outcome_row_fields () =
       Alcotest.(check bool) (key ^ " present") true (List.mem_assoc key row))
     [ "protocol"; "adversary"; "n"; "t"; "rounds"; "messages"; "bits"; "agreement"; "validity" ]
 
+let test_async_outcome_export () =
+  (* The render path is shared: an asynchronous Ben-Or outcome exports its
+     span as scheduler steps, has no per-round rows, and gets a header-only
+     timeline. *)
+  let n = 6 and t = 1 in
+  let o =
+    Ba_async.Async_engine.run ~protocol:(Ba_async.Ben_or_async.make ~n ~t)
+      ~adversary:Ba_async.Async_engine.fifo ~n ~t ~inputs:(Array.make n 1) ~seed:3L ()
+  in
+  let steps = Ba_sim.Run.span_units o.span in
+  Alcotest.(check bool) "ran some steps" true (steps > 0);
+  let row = Ba_trace.Export.outcome_row o in
+  Alcotest.(check (option string)) "span reported as steps" (Some (string_of_int steps))
+    (List.assoc_opt "steps" row);
+  Alcotest.(check bool) "no rounds key" false (List.mem_assoc "rounds" row);
+  Alcotest.(check (option string)) "agreement" (Some "true") (List.assoc_opt "agreement" row);
+  Alcotest.(check int) "no round rows" 0 (List.length (Ba_trace.Export.round_rows o));
+  let line = Format.asprintf "%a" Ba_trace.Export.pp_outcome o in
+  Alcotest.(check string) "one-line summary"
+    (Printf.sprintf
+       "ben-or-async vs fifo: n=6 t=1 steps=%d completed agreement=true validity=true \
+        corruptions=0"
+       steps)
+    line;
+  let header = List.hd (String.split_on_char '\n' (Ba_trace.Timeline.render o)) in
+  Alcotest.(check string) "timeline header"
+    (Printf.sprintf "timeline: ben-or-async vs fifo (n=6, t=1, %d steps)" steps)
+    header
+
 let test_round_rows () =
   let records =
-    [ { Ba_sim.Engine.rr_round = 1; rr_new_corruptions = [ 2; 3 ];
+    [ { Ba_sim.Run.rr_round = 1; rr_new_corruptions = [ 2; 3 ];
         rr_views = [| nv ~v:1 ~decided:true (); nv ~v:1 ~decided:false ~finished:true (); None; None |] } ]
   in
   match Ba_trace.Export.round_rows (outcome ~records ()) with
@@ -270,7 +299,8 @@ let () =
       ("export",
        [ Alcotest.test_case "csv escaping" `Quick test_export_csv;
          Alcotest.test_case "outcome row" `Quick test_outcome_row_fields;
-         Alcotest.test_case "round rows" `Quick test_round_rows ]);
+         Alcotest.test_case "round rows" `Quick test_round_rows;
+         Alcotest.test_case "async outcome" `Quick test_async_outcome_export ]);
       ("timeline",
        [ Alcotest.test_case "renders" `Quick test_timeline_renders;
          Alcotest.test_case "no records" `Quick test_timeline_no_records;

@@ -225,13 +225,12 @@ let test_checker_zero_round_outcome () =
     Ba_sim.Engine.run ~max_rounds:0 ~protocol:(rabin_protocol ()) ~adversary:noop_adversary
       ~n:4 ~t:1 ~inputs:[| 0; 1; 0; 1 |] ~seed:7L ()
   in
-  Alcotest.(check int) "no rounds ran" 0 o.rounds;
+  Alcotest.(check int) "no rounds ran" 0 (Ba_sim.Run.span_units o.span);
   Alcotest.(check bool) "not completed" false o.completed;
-  let ro = Ba_sim.Engine.to_run o in
-  Alcotest.(check (list string)) "agreement vacuous" [] (names (Ba_trace.Checker.agreement_run ro));
-  Alcotest.(check (list string)) "validity vacuous" [] (names (Ba_trace.Checker.validity_run ro));
+  Alcotest.(check (list string)) "agreement vacuous" [] (names (Ba_trace.Checker.agreement o));
+  Alcotest.(check (list string)) "validity vacuous" [] (names (Ba_trace.Checker.validity o));
   Alcotest.(check bool) "completion flags the cap" true
-    (Ba_trace.Checker.completion_run ro <> [])
+    (Ba_trace.Checker.completion o <> [])
 
 let silent_protocol : (unit, unit) Ba_sim.Protocol.t =
   { Ba_sim.Protocol.name = "silent";
@@ -254,13 +253,12 @@ let test_checker_all_silent_nodes () =
   in
   Alcotest.(check bool) "silent run cannot complete" false o.completed;
   Alcotest.(check bool) "no outputs" true (Array.for_all (( = ) None) o.outputs);
-  let ro = Ba_sim.Engine.to_run o in
-  Alcotest.(check (list string)) "agreement vacuous" [] (names (Ba_trace.Checker.agreement_run ro));
-  Alcotest.(check (list string)) "validity vacuous" [] (names (Ba_trace.Checker.validity_run ro));
+  Alcotest.(check (list string)) "agreement vacuous" [] (names (Ba_trace.Checker.agreement o));
+  Alcotest.(check (list string)) "validity vacuous" [] (names (Ba_trace.Checker.validity o));
   Alcotest.(check bool) "completion flags undecided nodes" true
-    (Ba_trace.Checker.completion_run ro <> []);
+    (Ba_trace.Checker.completion o <> []);
   Alcotest.(check (list string)) "no phantom corruptions" []
-    (names (Ba_trace.Checker.corruption_budget_run ro))
+    (names (Ba_trace.Checker.corruption_budget o))
 
 let test_checker_fault_free_async_trace () =
   (* A fault-free Bracha run under the FIFO scheduler passes the full
@@ -269,9 +267,8 @@ let test_checker_fault_free_async_trace () =
     Ba_async.Async_engine.run ~protocol:(Ba_async.Bracha_rbc.make ~broadcaster:0)
       ~adversary:Ba_async.Async_engine.fifo ~n:4 ~t:1 ~inputs:[| 1; 0; 0; 0 |] ~seed:7L ()
   in
-  let ro = Ba_async.Async_engine.to_run o in
   Alcotest.(check (list string)) "standard audit clean" []
-    (names (Ba_trace.Checker.standard_run ro));
+    (names (Ba_trace.Checker.standard o));
   Alcotest.(check bool) "everyone delivered the broadcaster's value" true
     (Array.for_all (( = ) (Some 1)) o.outputs)
 
