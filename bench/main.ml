@@ -119,12 +119,11 @@ let make_micro_tests () =
              (arun.Ba_experiments.Setups.arun_exec ~max_steps:2048 ~inputs ~seed:!seed ())
                .Ba_sim.Run.span))
   in
-  (* The same workload through the batched mailbox-draining path (fifo is
-     order-insensitive, so the engine drains whole per-node mailboxes per
-     activation instead of popping one message per step — DESIGN.md
-     section 15). The ratio to engine/async-step isolates the actor-runtime
-     win over the per-step scheduler loop. *)
-  let engine_async_step_batched =
+  (* The same workload under the fifo scheduler: the slab loop's cheapest
+     pick (the global head, no PRNG draw), so the ratio to
+     engine/async-step is the cost of the uniform scheduler's rank draw and
+     Fenwick selection (DESIGN.md section 15). *)
+  let engine_async_step_fifo =
     let n = 16 and t = 3 in
     let arun =
       Ba_experiments.Setups.make_async ~protocol:Ba_experiments.Setups.Async_ben_or
@@ -132,7 +131,7 @@ let make_micro_tests () =
     in
     let inputs = Array.init n (fun i -> i mod 2) in
     let seed = ref 0L in
-    Test.make ~name:"engine/async-step-batched"
+    Test.make ~name:"engine/async-step-fifo"
       (Staged.stage (fun () ->
            seed := Int64.add !seed 1L;
            Ba_sim.Run.span_units
@@ -214,7 +213,7 @@ let make_micro_tests () =
            Ba_sim.Run.span_units o.span))
   in
   [ prng_bits; prng_int; coin_sum; coin_trial; engine_silent; engine_killer; engine_round;
-    engine_async_step; engine_async_step_batched; engine_async_round; model; sparse_round;
+    engine_async_step; engine_async_step_fifo; engine_async_round; model; sparse_round;
     topology_draw; csr_round ]
 
 (* Returns the measured (name, ns/call) pairs, sorted by name. *)
@@ -256,10 +255,10 @@ let run_micro ~quota_ms =
    round) are allocation- and scheduler-noisy in a way the ns-scale micros
    are not, so they get looser gates than the global default. The slab
    engine cut engine/async-step's per-run allocation enough to tighten its
-   gate from 6.0 toward the 3.0 default; the batched variants inherit the
+   gate from 6.0 toward the 3.0 default; the fifo variant inherits the
    same bound. *)
 let micro_tolerances =
-  [ ("engine/async-step", 4.0); ("engine/async-step-batched", 4.0);
+  [ ("engine/async-step", 4.0); ("engine/async-step-fifo", 4.0);
     ("engine/async-round-n64", 4.0); ("plane/sparse-round-n1M", 8.0) ]
 
 let write_micro_json ~path measured =

@@ -141,9 +141,9 @@ let e17 ?policy ?(domains = 1) ?(quick = false) ~seed () =
    [incomplete] (deadlock or step-cap) and is reported as degradation. The
    fault-free control arm, however, must be perfect: the model assumes
    reliable links. [domains] parallelizes whole trials
-   ({!Ba_harness.Parallel.monte_carlo}); within a trial the random
-   scheduler takes the engine's serial slab fast path — one rank draw per
-   step (DESIGN.md §15), so per-trial [?sharder] would be a no-op here. *)
+   ({!Ba_harness.Parallel.monte_carlo}); each trial runs serially on the
+   engine's slab loop — for the random scheduler, one rank draw per step
+   (DESIGN.md §15). *)
 let e20 ?policy ?(quick = false) ~seed ~domains () =
   let trials = if quick then 6 else 15 in
   let arms =

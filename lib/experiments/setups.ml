@@ -128,6 +128,17 @@ let skeleton_fault_plan = function
            ?mutate:(if s.fs_corrupt > 0.0 then Some mutate_skeleton else None)
            ~silences:s.fs_silences ())
 
+(* Silence windows name nodes: reject out-of-range ones when the setup is
+   built, before any run starts. *)
+let check_silences ~who ~n = function
+  | None -> ()
+  | Some s ->
+      List.iter
+        (fun { Ba_sim.Faults.s_node; _ } ->
+          if s_node < 0 || s_node >= n then
+            invalid_arg (Printf.sprintf "%s: silence node %d outside [0,%d)" who s_node n))
+        s.fs_silences
+
 let generic_fault_plan = function
   | None -> None
   | Some s ->
@@ -236,6 +247,7 @@ let generic_run ?(topology = Ba_sim.Topology.Dense) ~faults ~cap ~protocol ~adve
               ~inputs ~seed ()) }
 
 let make_impl ~faults ~cap ~protocol ~adversary ~n ~t =
+  check_silences ~who:"Setups.make" ~n faults;
   match protocol with
   | Alg3 { alpha; coin_round } ->
       let inst = Ba_core.Agreement.make ~alpha ~coin_round ~n ~t () in
@@ -422,7 +434,6 @@ type async_run = {
     ?max_steps:int ->
     ?max_delay:int ->
     ?trace:Ba_sim.Run.trace ->
-    ?sharder:Ba_sim.Engine.sharder ->
     inputs:int array ->
     seed:int64 ->
     unit ->
@@ -435,6 +446,7 @@ type async_run = {
 let scheduler_rng seed = Ba_prng.Rng.create (Ba_prng.Splitmix64.mix seed)
 
 let make_async ?faults ~protocol ~scheduler ~n ~t () =
+  check_silences ~who:"Setups.make_async" ~n faults;
   (match scheduler with
   | Delayer_sched victims ->
       List.iter
@@ -453,7 +465,7 @@ let make_async ?faults ~protocol ~scheduler ~n ~t () =
       { arun_protocol = async_protocol_name protocol;
         arun_scheduler;
         arun_exec =
-          (fun ?max_steps ?max_delay ?trace ?sharder ~inputs ~seed () ->
+          (fun ?max_steps ?max_delay ?trace ~inputs ~seed () ->
             let rng = scheduler_rng seed in
             let adversary =
               match scheduler with
@@ -463,7 +475,7 @@ let make_async ?faults ~protocol ~scheduler ~n ~t () =
               | Balancer_sched -> Ba_async.Async_adv.ben_or_balancer ~rng
               | Splitter_sched -> Ba_async.Async_adv.ben_or_splitter ~rng
             in
-            Ba_async.Async_engine.run ?max_steps ?max_delay ?faults:plan ?trace ?sharder
+            Ba_async.Async_engine.run ?max_steps ?max_delay ?faults:plan ?trace
               ~protocol:p ~adversary ~n ~t ~inputs ~seed ()) }
   | Async_bracha { broadcaster } ->
       if broadcaster < 0 || broadcaster >= n then
@@ -473,7 +485,7 @@ let make_async ?faults ~protocol ~scheduler ~n ~t () =
       { arun_protocol = async_protocol_name protocol;
         arun_scheduler;
         arun_exec =
-          (fun ?max_steps ?max_delay ?trace ?sharder ~inputs ~seed () ->
+          (fun ?max_steps ?max_delay ?trace ~inputs ~seed () ->
             let rng = scheduler_rng seed in
             let adversary =
               match scheduler with
@@ -482,5 +494,5 @@ let make_async ?faults ~protocol ~scheduler ~n ~t () =
               | Delayer_sched victims -> Ba_async.Async_adv.delayer ~victims
               | Balancer_sched | Splitter_sched -> assert false (* rejected above *)
             in
-            Ba_async.Async_engine.run ?max_steps ?max_delay ?faults:plan ?trace ?sharder
+            Ba_async.Async_engine.run ?max_steps ?max_delay ?faults:plan ?trace
               ~protocol:p ~adversary ~n ~t ~inputs ~seed ()) }

@@ -114,7 +114,8 @@ val make : protocol:protocol_kind -> adversary:adversary_kind -> n:int -> t:int 
 (** [make_faulty ~faults ~protocol ~adversary ~n ~t] — {!make} with benign
     fault injection threaded into every [exec] of the setup.
     @raise Invalid_argument additionally for [fs_corrupt > 0] against a
-    non-skeleton protocol, or a malformed {!fault_spec}. *)
+    non-skeleton protocol, a silence node outside [\[0, n)], or a malformed
+    {!fault_spec}. *)
 val make_faulty :
   faults:fault_spec -> protocol:protocol_kind -> adversary:adversary_kind -> n:int -> t:int -> run
 
@@ -175,7 +176,6 @@ type async_run = {
     ?max_steps:int ->
     ?max_delay:int ->
     ?trace:Ba_sim.Run.trace ->
-    ?sharder:Ba_sim.Engine.sharder ->
     inputs:int array ->
     seed:int64 ->
     unit ->
@@ -183,9 +183,7 @@ type async_run = {
       (** One run: the engine seed is [seed]; the scheduler's RNG stream is
           [Rng.create (Splitmix64.mix seed)] (the derivation E17 has always
           used, kept byte-stable). The outcome's span is
-          [Ba_sim.Run.Steps _]. [sharder] fans the engine's batched benign
-          delivery across domains (fifo/delayer schedulers only) — outcomes
-          are byte-identical at any shard count. *)
+          [Ba_sim.Run.Steps _]. *)
 }
 
 (** [make_async ?faults ~protocol ~scheduler ~n ~t ()] — builds the pair.
@@ -195,8 +193,8 @@ type async_run = {
     classify/mk_* surface; constructor-value flips for Bracha).
     @raise Invalid_argument for incompatible pairs
     ([Balancer_sched]/[Splitter_sched] against Bracha), an out-of-range
-    broadcaster or delayer victim, out-of-range [n]/[t], or a malformed
-    {!fault_spec}. *)
+    broadcaster, delayer victim or silence node, out-of-range [n]/[t], or a
+    malformed {!fault_spec}. *)
 val make_async :
   ?faults:fault_spec ->
   protocol:async_protocol_kind ->

@@ -1,7 +1,7 @@
 (* Mailbox slab + actor-runtime engine paths: structural invariants under
    random op sequences (model-based), slot recycling without aliasing,
    FIFO-per-link delivery order under duplicates and silence, and
-   byte-identity of every fast path (batched, sharded, PRNG-replay) against
+   byte-identity of the policy fast path (every declared policy) against
    the general view-based loop. *)
 
 open Ba_async
@@ -36,12 +36,12 @@ let check_against_model mb model =
     model;
   Alcotest.(check int) "nth_global out of range" (-1) (Mailbox.nth_global mb (List.length model))
 
-let per_node mb head next v =
+let per_src mb v =
   let out = ref [] in
-  let s = ref (head mb v) in
+  let s = ref (Mailbox.head_src mb v) in
   while !s <> -1 do
     out := Mailbox.id mb !s :: !out;
-    s := next mb !s
+    s := Mailbox.next_src mb !s
   done;
   List.rev !out
 
@@ -77,11 +77,8 @@ let prop_model_random_ops =
       done;
       check_against_model mb !model;
       for v = 0 to n - 1 do
-        let want f = List.filter_map (fun (i, s, d, _, _) -> if f s d then Some i else None) !model in
-        Alcotest.(check (list int)) "per-dst queue" (want (fun _ d -> d = v))
-          (per_node mb Mailbox.head_dst Mailbox.next_dst v);
-        Alcotest.(check (list int)) "per-src queue" (want (fun s _ -> s = v))
-          (per_node mb Mailbox.head_src Mailbox.next_src v)
+        let want = List.filter_map (fun (i, s, _, _, _) -> if s = v then Some i else None) !model in
+        Alcotest.(check (list int)) "per-src queue" want (per_src mb v)
       done;
       true)
 
@@ -162,17 +159,10 @@ let first_occurrences_increasing log_oldest_first ~n =
         log_oldest_first)
     (List.init n Fun.id)
 
-let run_recorder ~sharder ~seed =
-  let n = 8 and per = 6 in
-  let silenced = 1 in
-  let need = (n - 1) * per in
-  let faults =
-    Faults.make ~duplicate:0.3
-      ~silences:[ { Faults.s_node = silenced; s_from = 1; s_until = 40_000 } ]
-      ()
-  in
-  Async_engine.run ~protocol:(recorder ~per ~need) ~adversary:Async_engine.fifo ~faults
-    ?sharder ~n ~t:0 ~inputs:(Array.make n 0) ~seed ()
+let recorder_faults () =
+  Faults.make ~duplicate:0.3
+    ~silences:[ { Faults.s_node = 1; s_from = 1; s_until = 40_000 } ]
+    ()
 
 (* The engine outcome does not expose protocol states, so the order check
    taps the recorder's [on_message] into per-node log cells. *)
@@ -189,14 +179,9 @@ let prop_fifo_per_link =
               logs.(ctx.Async_engine.me) <- (src, msg) :: logs.(ctx.me);
               base.on_message ctx st ~src msg) }
       in
-      let faults =
-        Faults.make ~duplicate:0.3
-          ~silences:[ { Faults.s_node = 1; s_from = 1; s_until = 40_000 } ]
-          ()
-      in
       let o =
-        Async_engine.run ~protocol ~adversary:Async_engine.fifo ~faults ~n ~t:0
-          ~inputs:(Array.make n 0) ~seed ()
+        Async_engine.run ~protocol ~adversary:Async_engine.fifo ~faults:(recorder_faults ())
+          ~n ~t:0 ~inputs:(Array.make n 0) ~seed ()
       in
       o.Ba_sim.Run.completed
       && Metrics.link_duplicates o.metrics > 0
@@ -221,68 +206,48 @@ let ben_or_faults () =
     ~silences:[ { Faults.s_node = 2; s_from = 10; s_until = 60 } ]
     ()
 
-let ben_or_run ?faults ?sharder ~adversary ~seed () =
-  let n = 11 and t = 2 in
-  Async_engine.run ?faults ?sharder ~protocol:(Ben_or_async.make ~n ~t) ~adversary ~n ~t
-    ~inputs:(Array.init n (fun i -> i mod 2)) ~seed ()
-
 let prop_policy_vs_opaque =
-  (* Every policy fast path (batched fifo/delayer, PRNG-replay uniform and
-     scored) must be byte-identical to the same adversary forced through the
-     general view-based loop, with and without benign faults. *)
+  (* Every declared policy (fifo, delayer, PRNG-replay uniform and scored)
+     must be byte-identical to the same adversary forced through the
+     general view-based loop: Ben-Or with and without benign faults, the
+     duplicate + silence recorder workload, and Bracha RBC. *)
   QCheck.Test.make ~name:"policy fast paths = opaque general loop" ~count:12 QCheck.int64
     (fun seed ->
-      let advs =
-        [ (fun () -> Async_engine.fifo);
-          (fun () -> Async_adv.delayer ~victims:[ 0; 3 ]);
-          (fun () -> Async_adv.random_scheduler ~rng:(Rng.create (Int64.add seed 7L)));
-          (fun () -> Async_adv.ben_or_balancer ~rng:(Rng.create (Int64.add seed 9L))) ]
+      let run ?faults ~protocol ~n ~t ~inputs ~opaque adv =
+        let adversary = if opaque then Async_engine.opaque_of adv else adv in
+        Async_engine.run ?faults ~protocol ~adversary ~n ~t ~inputs ~seed ()
       in
-      List.for_all
-        (fun mk ->
-          List.for_all
-            (fun faults ->
-              let fast = ben_or_run ?faults ~adversary:(mk ()) ~seed () in
-              let slow =
-                ben_or_run ?faults ~adversary:(Async_engine.opaque_of (mk ())) ~seed ()
-              in
-              same_outcome fast slow)
-            [ None; Some (ben_or_faults ()) ])
-        advs)
-
-let prop_sharded_vs_serial =
-  QCheck.Test.make ~name:"sharded batched delivery = serial, domains 1/2/4" ~count:8
-    QCheck.int64 (fun seed ->
-      List.for_all
-        (fun mk ->
-          List.for_all
-            (fun faults ->
-              let serial = ben_or_run ?faults ~adversary:(mk ()) ~seed () in
-              List.for_all
-                (fun domains ->
-                  let sharder = Ba_experiments.Setups.sharder_of ~domains in
-                  same_outcome serial
-                    (ben_or_run ?faults ~sharder ~adversary:(mk ()) ~seed ()))
-                [ 1; 2; 4 ])
-            [ None; Some (ben_or_faults ()) ])
-        [ (fun () -> Async_engine.fifo); (fun () -> Async_adv.delayer ~victims:[ 0; 3 ]) ])
-
-let test_sharded_recorder_identity () =
-  (* The recorder workload (duplicates + silence) through the sharded
-     batched path, against the serial run. *)
-  List.iter
-    (fun seed ->
-      let serial = run_recorder ~sharder:None ~seed in
-      List.iter
-        (fun domains ->
-          let sharded =
-            run_recorder ~sharder:(Some (Ba_experiments.Setups.sharder_of ~domains)) ~seed
-          in
-          Alcotest.(check bool)
-            (Printf.sprintf "domains=%d identical" domains)
-            true (same_outcome serial sharded))
-        [ 2; 4 ])
-    [ 5L; 6L; 7L ]
+      let fifo () = Async_engine.fifo and delayer () = Async_adv.delayer ~victims:[ 0; 3 ] in
+      let ben_or ?faults mk ~opaque =
+        let n = 11 and t = 2 in
+        run ?faults ~protocol:(Ben_or_async.make ~n ~t) ~n ~t
+          ~inputs:(Array.init n (fun i -> i mod 2)) ~opaque (mk ())
+      in
+      let recorder_run mk ~opaque =
+        let n = 8 and per = 6 in
+        run ~faults:(recorder_faults ()) ~protocol:(recorder ~per ~need:((n - 1) * per)) ~n
+          ~t:0 ~inputs:(Array.make n 0) ~opaque (mk ())
+      in
+      let bracha ?faults mk ~opaque =
+        let n = 10 in
+        run ?faults ~protocol:(Bracha_rbc.make ~broadcaster:0) ~n ~t:3
+          ~inputs:(Array.init n (fun i -> if i = 0 then 1 else 0)) ~opaque (mk ())
+      in
+      let ben_or_workloads faults =
+        [ ben_or ?faults fifo;
+          ben_or ?faults delayer;
+          ben_or ?faults (fun () ->
+              Async_adv.random_scheduler ~rng:(Rng.create (Int64.add seed 7L)));
+          ben_or ?faults (fun () ->
+              Async_adv.ben_or_balancer ~rng:(Rng.create (Int64.add seed 9L))) ]
+      in
+      let workloads =
+        ben_or_workloads None
+        @ ben_or_workloads (Some (ben_or_faults ()))
+        @ [ recorder_run fifo; recorder_run delayer; bracha fifo; bracha delayer;
+            bracha ~faults:(ben_or_faults ()) fifo; bracha ~faults:(ben_or_faults ()) delayer ]
+      in
+      List.for_all (fun w -> same_outcome (w ~opaque:false) (w ~opaque:true)) workloads)
 
 let () =
   Alcotest.run "ba_mailbox"
@@ -292,7 +257,4 @@ let () =
          QCheck_alcotest.to_alcotest prop_model_random_ops ]);
       ("engine-paths",
        [ QCheck_alcotest.to_alcotest prop_fifo_per_link;
-         QCheck_alcotest.to_alcotest prop_policy_vs_opaque;
-         QCheck_alcotest.to_alcotest prop_sharded_vs_serial;
-         Alcotest.test_case "sharded recorder identity" `Quick
-           test_sharded_recorder_identity ]) ]
+         QCheck_alcotest.to_alcotest prop_policy_vs_opaque ]) ]

@@ -55,6 +55,24 @@ let test_incompatible_pairs_rejected () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+let test_silence_node_out_of_range () =
+  (* Both constructors reject an out-of-range silence node up front, so the
+     CLIs report a bad setup instead of failing inside the first run. *)
+  let faults =
+    { Setups.no_faults with
+      Setups.fs_silences = [ { Ba_sim.Faults.s_node = 11; s_from = 1; s_until = 5 } ] }
+  in
+  Alcotest.check_raises "make_async"
+    (Invalid_argument "Setups.make_async: silence node 11 outside [0,11)") (fun () ->
+      ignore
+        (Setups.make_async ~faults ~protocol:Setups.Async_ben_or ~scheduler:Setups.Fifo_sched
+           ~n:11 ~t:2 ()));
+  Alcotest.check_raises "make_faulty"
+    (Invalid_argument "Setups.make: silence node 11 outside [0,11)") (fun () ->
+      ignore
+        (Setups.make_faulty ~faults ~protocol:(Setups.Las_vegas { alpha = 2.0 })
+           ~adversary:Setups.Silent ~n:11 ~t:2))
+
 let test_run_names () =
   let run =
     Setups.make ~protocol:(Setups.Alg3 { alpha = 2.0; coin_round = `Piggyback })
@@ -117,6 +135,7 @@ let () =
          Alcotest.test_case "validation" `Quick test_inputs_validation ]);
       ("wiring",
        [ Alcotest.test_case "incompatible pairs" `Quick test_incompatible_pairs_rejected;
+         Alcotest.test_case "silence node out of range" `Quick test_silence_node_out_of_range;
          Alcotest.test_case "run names" `Quick test_run_names;
          Alcotest.test_case "deterministic exec" `Quick test_exec_deterministic;
          Alcotest.test_case "rabin dealer varies" `Quick test_rabin_dealer_varies_with_seed;
