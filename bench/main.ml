@@ -1,7 +1,7 @@
 (* Benchmark harness.
 
    Two parts:
-   1. the registered experiment suite (E1-E22, Experiments.registry): the
+   1. the registered experiment suite (E1-E23, Experiments.registry): the
       paper is a theory result, so its claims are regenerated empirically —
       tables and figures on stdout, optionally a schema-versioned JSON
       suite document (see DESIGN.md section 5 / EXPERIMENTS.md);
@@ -65,11 +65,13 @@ let make_micro_tests () =
            let x = Ba_core.Common_coin.honest_sum rng ~flippers:4096 in
            Ba_core.Common_coin.commons ~flippers:4096 ~sum:x ~budget:32))
   in
-  let engine_of adversary name =
+  let engine_of ?faults adversary name =
     let n = 64 and t = 21 in
+    let protocol = Ba_experiments.Setups.Las_vegas { alpha = 2.0 } in
     let run =
-      Ba_experiments.Setups.make ~protocol:(Ba_experiments.Setups.Las_vegas { alpha = 2.0 })
-        ~adversary ~n ~t
+      match faults with
+      | None -> Ba_experiments.Setups.make ~protocol ~adversary ~n ~t
+      | Some faults -> Ba_experiments.Setups.make_faulty ~faults ~protocol ~adversary ~n ~t
     in
     let inputs = Ba_experiments.Setups.inputs Ba_experiments.Setups.Split ~n ~t in
     let seed = ref 0L in
@@ -82,6 +84,16 @@ let make_micro_tests () =
   let engine_silent = engine_of Ba_experiments.Setups.Silent "engine/alg3-n64-silent" in
   let engine_killer =
     engine_of Ba_experiments.Setups.Committee_killer "engine/alg3-n64-killer"
+  in
+  (* The dense plane's fault arm: every link through the fault model, each
+     recipient's dropped, corrupted or stale-duplicate links patched over
+     the round's shared plane (DESIGN.md section 10). *)
+  let engine_faulty =
+    engine_of
+      ~faults:
+        { Ba_experiments.Setups.no_faults with fs_drop = 0.05; fs_duplicate = 0.05;
+          fs_corrupt = 0.05 }
+      Ba_experiments.Setups.Silent "engine/alg3-n64-faulty"
   in
   (* The perf gate's headline metric: eight benign all-to-all broadcast
      rounds of Algorithm 3 at n=256 — the O(n^2)-deliveries hot path every
@@ -212,7 +224,8 @@ let make_micro_tests () =
            let o = run.exec ~max_rounds:1 ~record:false ~inputs ~seed:!seed () in
            Ba_sim.Run.span_units o.span))
   in
-  [ prng_bits; prng_int; coin_sum; coin_trial; engine_silent; engine_killer; engine_round;
+  [ prng_bits; prng_int; coin_sum; coin_trial; engine_silent; engine_killer; engine_faulty;
+    engine_round;
     engine_async_step; engine_async_step_fifo; engine_async_round; model; sparse_round;
     topology_draw; csr_round ]
 

@@ -5,7 +5,8 @@
 
    Usage: ba_json_check FILE [--require-pass] [--same-payload BASELINE]
 
-   Exit 0 iff the file parses, carries the expected schema_version, and
+   An unreadable FILE or BASELINE prints "error: ..." and exits 1. Exit 0
+   iff the file parses, carries the expected schema_version, and
    every experiment entry has a well-formed id/verdict/metrics payload,
    with well-formed failure/shard-failure/crash records where present
    (with --require-pass: additionally no verdict is "fail"; with
@@ -243,9 +244,11 @@ let check_attack doc path =
   Printf.printf "ba_json_check: %s ok (attack report, %d evaluations)\n" path evals
 
 let load path =
-  let text = In_channel.with_open_bin path In_channel.input_all in
-  try Ba_harness.Json.of_string text
-  with Ba_harness.Json.Parse_error msg -> fail "%s: parse error: %s" path msg
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error msg -> fail "error: %s" msg
+  | text -> (
+      try Ba_harness.Json.of_string text
+      with Ba_harness.Json.Parse_error msg -> fail "%s: parse error: %s" path msg)
 
 (* The payload-identity gate: an experiment's entry is its payload once the
    run's wall_seconds is dropped, compared as printed JSON. *)

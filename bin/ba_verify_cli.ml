@@ -8,7 +8,8 @@
 
    Exit codes: 0 = verified (or, with --expect-violation, a violation was
    found and its replay confirmed); 1 = property outcome contradicts the
-   expectation; 2 = state budget exhausted (inconclusive) or input error. *)
+   expectation, or the --replay file cannot be read; 2 = state budget
+   exhausted (inconclusive) or input error. *)
 
 open Cmdliner
 
@@ -110,39 +111,43 @@ let do_verify proto n t phases inputs max_states broadcaster json_out cex_out ex
   match s.verdict with `Pass -> 0 | `Fail -> 1 | `Budget -> 2
 
 let do_replay path =
-  let text = In_channel.with_open_bin path In_channel.input_all in
-  match Ba_harness.Json.of_string text with
-  | exception Ba_harness.Json.Parse_error msg ->
-      Printf.eprintf "ba_verify: %s: parse error: %s\n" path msg;
-      2
-  | j -> (
-      let kind = Option.bind (Ba_harness.Json.member "kind" j) Ba_harness.Json.to_str in
-      let outcome =
-        match kind with
-        | Some "sync" ->
-            Result.map
-              (fun cex ->
-                ( cex.Ba_verify.Exhaust.sc_reason,
-                  Ba_verify.Exhaust.sync_cex_confirmed cex ))
-              (Ba_verify.Exhaust.sync_cex_of_json j)
-        | Some "async" ->
-            Result.map
-              (fun cex ->
-                ( cex.Ba_verify.Exhaust.ac_reason,
-                  Ba_verify.Exhaust.async_cex_confirmed cex ))
-              (Ba_verify.Exhaust.async_cex_of_json j)
-        | Some k -> Error (Printf.sprintf "unknown counterexample kind %S" k)
-        | None -> Error "missing \"kind\" field"
-      in
-      match outcome with
-      | Error msg ->
-          Printf.eprintf "ba_verify: %s: %s\n" path msg;
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error msg ->
+      Printf.eprintf "ba_verify: error: %s\n" msg;
+      1
+  | text -> (
+      match Ba_harness.Json.of_string text with
+      | exception Ba_harness.Json.Parse_error msg ->
+          Printf.eprintf "ba_verify: %s: parse error: %s\n" path msg;
           2
-      | Ok (reason, confirmed) ->
-          Printf.printf "ba_verify replay %s\n  recorded violation: %s\n  replay through the engine: %s\n"
-            path reason
-            (if confirmed then "violation confirmed" else "violation NOT reproduced");
-          if confirmed then 0 else 1)
+      | j -> (
+          let kind = Option.bind (Ba_harness.Json.member "kind" j) Ba_harness.Json.to_str in
+          let outcome =
+            match kind with
+            | Some "sync" ->
+                Result.map
+                  (fun cex ->
+                    ( cex.Ba_verify.Exhaust.sc_reason,
+                      Ba_verify.Exhaust.sync_cex_confirmed cex ))
+                  (Ba_verify.Exhaust.sync_cex_of_json j)
+            | Some "async" ->
+                Result.map
+                  (fun cex ->
+                    ( cex.Ba_verify.Exhaust.ac_reason,
+                      Ba_verify.Exhaust.async_cex_confirmed cex ))
+                  (Ba_verify.Exhaust.async_cex_of_json j)
+            | Some k -> Error (Printf.sprintf "unknown counterexample kind %S" k)
+            | None -> Error "missing \"kind\" field"
+          in
+          match outcome with
+          | Error msg ->
+              Printf.eprintf "ba_verify: %s: %s\n" path msg;
+              2
+          | Ok (reason, confirmed) ->
+              Printf.printf "ba_verify replay %s\n  recorded violation: %s\n  replay through the engine: %s\n"
+                path reason
+                (if confirmed then "violation confirmed" else "violation NOT reproduced");
+              if confirmed then 0 else 1))
 
 let protocol_arg =
   Arg.(value

@@ -56,6 +56,16 @@ let csr_payloads c =
   if Array.length c.c_pay = 0 then c.c_pay <- Array.make (Array.length c.c_dst) None;
   c.c_pay
 
+(* Dense patch buffers, allocated once per run and refilled for every
+   recipient of a patched round (see [run]). *)
+type 'msg patches = { pt_srcs : int array; pt_codes : int array; pt_msgs : 'msg option array }
+
+(* Writes patch [k] — sender [v], payload [m] and its packed code. *)
+let set_patch pt ~codec k v m =
+  pt.pt_srcs.(k) <- v;
+  pt.pt_msgs.(k) <- m;
+  pt.pt_codes.(k) <- (match (codec, m) with Some enc, Some p -> enc p | _ -> Plane.absent)
+
 let validate ~n ~t ~inputs =
   if t < 0 || t >= n then invalid_arg "Engine.run: need 0 <= t < n";
   if Array.length inputs <> n then invalid_arg "Engine.run: inputs length <> n";
@@ -101,10 +111,27 @@ let run ?max_rounds ?(record = false) ?congest_limit_bits ?faults ?(sharder = se
     | Some _ | None -> ()
   in
   let records = ref [] in
-  (* One packed-code slab for the whole run, repacked in place each benign
-     broadcast round (DESIGN.md section 10). *)
+  (* One packed-code slab for the whole run, repacked in place every dense
+     round (DESIGN.md section 10). *)
   let slab = Array.make (max n 1) Plane.absent in
   let live v = (not corrupted.(v)) && not halted.(v) in
+  (* A recipient has at most [n - 1] patches. The buffers are allocated
+     on the first patched round, so benign runs never allocate them, and
+     at the run's one slab size [n]: a block of a size the run uses nowhere
+     else costs the major heap a pool of its own once promoted. For the
+     same reason the patched arm below allocates no closure per round. *)
+  let patches = ref None in
+  let patch_buffers () =
+    match !patches with
+    | Some pt -> pt
+    | None ->
+        let pt =
+          { pt_srcs = Array.make n 0; pt_codes = Array.make n Plane.absent;
+            pt_msgs = Array.make n None }
+        in
+        patches := Some pt;
+        pt
+  in
   let all_honest_halted () =
     let stop = ref true in
     for v = 0 to n - 1 do
@@ -167,27 +194,27 @@ let run ?max_rounds ?(record = false) ?congest_limit_bits ?faults ?(sharder = se
       action.corrupt;
     (* 4. Delivery + 5. recv for each live honest node. Under a restricted
        topology, delivery routes through per-recipient sparse plane slices
-       (first arm below; DESIGN.md §13). On the dense plan, three modes,
-       all observably identical to per-link delivery (same metrics, same
-       RNG draw order — the determinism proof obligation of DESIGN.md §10):
+       (first arm below; DESIGN.md §13). On the dense plan every round
+       packs the honest broadcasts into one shared plane (DESIGN.md §10),
+       and two modes hand it out, both observably identical to per-link
+       delivery (same metrics, same RNG draw order):
 
        - benign broadcast (no fault instance, no corrupted node): every
-         live recipient's inbox is the same array, so one shared plane is
-         packed once and recv fans out over it — optionally sharded across
-         domains, each shard on its own cache view;
-       - Byzantine senders, no link faults: per-recipient copy of the
-         honest slab patched by [byz_msg] (corrupted senders ascending,
-         recipients ascending — the draw order of the old per-link loop);
-       - link faults: the old exact per-link loop, [Faults.deliver] on
-         every (src, dst) pair in the original order, as index-level edits
-         on the copied slab. *)
+         live recipient's inbox is the shared plane itself, so recv fans
+         out over it — optionally sharded across domains, each shard on
+         its own cache view;
+       - patched (Byzantine senders or link faults): recipients ascending,
+         each gets the shared plane overlaid with its own sorted patches —
+         [byz_msg] for every corrupted sender, and under faults
+         [Faults.deliver] on every (src, dst) pair, senders ascending, in
+         the draw order of the old per-link loop. An honest link is
+         patched only when that call metered a fault event (a drop, a
+         corruption or a stale duplicate), the only cases where the
+         delivered payload differs from the honest one. A recipient with
+         no patch gets the shared plane itself. *)
     let new_states = Array.copy states in
-    let corrupted_now = ref [] in
-    for v = n - 1 downto 0 do
-      if corrupted.(v) then corrupted_now := v :: !corrupted_now
-    done;
-    (match (topo, faults, !corrupted_now) with
-    | Some (ti, c), _, _ ->
+    (match topo with
+    | Some (ti, c) ->
         (* Restricted topology: a two-pass CSR build (see [csr] above),
            entirely on the calling domain and src-ascending — sampling,
            Byzantine patching, fault draws and metering all happen in pass
@@ -305,70 +332,97 @@ let run ?max_rounds ?(record = false) ?congest_limit_bits ?faults ?(sharder = se
                       (Plane.sparse_slice ?codes:c.c_codes ~n ~srcs ~msgs ~lo:off.(u)
                          ~hi:off.(u + 1) ())
             done)
-    | None, None, [] ->
-        let live_recipients = ref 0 in
-        for v = 0 to n - 1 do
-          if live v then incr live_recipients
-        done;
-        for v = 0 to n - 1 do
-          match honest_msgs.(v) with
-          | Some payload ->
-              let copies = !live_recipients - if live v then 1 else 0 in
-              if copies > 0 then begin
-                let bits = protocol.msg_bits payload in
-                Metrics.record_broadcast metrics ~bits ~words:(protocol.msg_words payload) ~copies
-                  ~byzantine:false;
-                match congest_limit_bits with
-                | Some limit when bits > limit ->
-                    Metrics.record_congest_violations metrics copies
-                | Some _ | None -> ()
-              end
-          | None -> ()
-        done;
+    | None -> (
+        if Option.is_none faults then begin
+          (* Fault-free: honest broadcasts are metered in bulk, every live
+             recipient but the sender getting a copy. *)
+          let live_recipients = ref 0 in
+          for v = 0 to n - 1 do
+            if live v then incr live_recipients
+          done;
+          for v = 0 to n - 1 do
+            match honest_msgs.(v) with
+            | Some payload ->
+                let copies = !live_recipients - if live v then 1 else 0 in
+                if copies > 0 then begin
+                  let bits = protocol.msg_bits payload in
+                  Metrics.record_broadcast metrics ~bits ~words:(protocol.msg_words payload)
+                    ~copies ~byzantine:false;
+                  match congest_limit_bits with
+                  | Some limit when bits > limit ->
+                      Metrics.record_congest_violations metrics copies
+                  | Some _ | None -> ()
+                end
+            | None -> ()
+          done
+        end;
         let plane = Plane.shared ?encode:codec ~slab honest_msgs in
-        sharded sharder ~n (fun lo hi ->
-            let view = Plane.shard_view plane in
-            fun () ->
-              for u = lo to hi do
-                if live u then
-                  new_states.(u) <- protocol.recv (ctx_of u) states.(u) ~round:r ~inbox:view
-              done)
-    | None, None, cs ->
-        for u = 0 to n - 1 do
-          if live u then begin
-            let data = Array.copy honest_msgs in
-            List.iter (fun v -> data.(v) <- action.byz_msg ~src:v ~dst:u) cs;
+        match faults with
+        | None when !corruptions_used = 0 ->
+            sharded sharder ~n (fun lo hi ->
+                let view = Plane.shard_view plane in
+                fun () ->
+                  for u = lo to hi do
+                    if live u then
+                      new_states.(u) <- protocol.recv (ctx_of u) states.(u) ~round:r ~inbox:view
+                  done)
+        | None | Some _ ->
+            let pt = patch_buffers () in
+            (* Without faults every recipient's patch sources are the
+               corrupted senders, ascending: written once per round. *)
+            let byz = ref 0 in
             for v = 0 to n - 1 do
-              if v <> u then
-                match data.(v) with
-                | Some payload -> meter payload ~byzantine:corrupted.(v)
-                | None -> ()
-            done;
-            new_states.(u) <-
-              protocol.recv (ctx_of u) states.(u) ~round:r ~inbox:(Plane.of_array ?encode:codec data)
-          end
-        done
-    | None, Some inst, _ ->
-        for u = 0 to n - 1 do
-          if live u then begin
-            let data = Array.copy honest_msgs in
-            for v = 0 to n - 1 do
-              if v <> u then begin
-                let raw, byzantine =
-                  if corrupted.(v) then (action.byz_msg ~src:v ~dst:u, true) else (data.(v), false)
-                in
-                (* Benign link faults apply to honest and Byzantine payloads
-                   alike; self-delivery is exempt (a node always hears itself
-                   unless silenced above). *)
-                let m = Faults.deliver inst ~metrics ~round:r ~src:v ~dst:u raw in
-                (match m with Some payload -> meter payload ~byzantine | None -> ());
-                data.(v) <- m
+              if corrupted.(v) then begin
+                pt.pt_srcs.(!byz) <- v;
+                incr byz
               end
             done;
-            new_states.(u) <-
-              protocol.recv (ctx_of u) states.(u) ~round:r ~inbox:(Plane.of_array ?encode:codec data)
-          end
-        done);
+            for u = 0 to n - 1 do
+              if live u then begin
+                let len = ref 0 in
+                (match faults with
+                | None ->
+                    for i = 0 to !byz - 1 do
+                      let v = pt.pt_srcs.(i) in
+                      let m = action.byz_msg ~src:v ~dst:u in
+                      (match m with Some p -> meter p ~byzantine:true | None -> ());
+                      set_patch pt ~codec i v m
+                    done;
+                    len := !byz
+                | Some inst ->
+                    for v = 0 to n - 1 do
+                      if v <> u then
+                        if corrupted.(v) then begin
+                          (* Link faults apply to Byzantine payloads too. *)
+                          let m =
+                            Faults.deliver inst ~metrics ~round:r ~src:v ~dst:u
+                              (action.byz_msg ~src:v ~dst:u)
+                          in
+                          (match m with Some p -> meter p ~byzantine:true | None -> ());
+                          set_patch pt ~codec !len v m;
+                          incr len
+                        end
+                        else begin
+                          let events = Metrics.fault_events metrics in
+                          let m =
+                            Faults.deliver inst ~metrics ~round:r ~src:v ~dst:u honest_msgs.(v)
+                          in
+                          (match m with Some p -> meter p ~byzantine:false | None -> ());
+                          if Metrics.fault_events metrics <> events then begin
+                            set_patch pt ~codec !len v m;
+                            incr len
+                          end
+                        end
+                    done);
+                let inbox =
+                  if !len = 0 then plane
+                  else
+                    Plane.overlay plane ~srcs:pt.pt_srcs ~codes:pt.pt_codes ~msgs:pt.pt_msgs
+                      ~len:!len
+                in
+                new_states.(u) <- protocol.recv (ctx_of u) states.(u) ~round:r ~inbox
+              end
+            done));
     Array.blit new_states 0 states 0 n;
     for v = 0 to n - 1 do
       if (not corrupted.(v)) && (not halted.(v)) && protocol.halted states.(v) then

@@ -15,17 +15,21 @@
 
     The run ends when every honest node has halted, or at [max_rounds]. *)
 
-(** Delivery sharding (DESIGN.md §10). In a benign broadcast round every
-    live recipient reads the same shared message plane, so their [recv]
-    steps are independent and the engine can split them across [s_shards]
-    contiguous node ranges: it builds one thunk per shard and hands the
-    array to [s_run], which must run every thunk to completion before
-    returning (in any order, on any domain). Per lint rule D007 the engine
-    never spawns domains itself — [Ba_harness.Parallel.delivery_sharder]
-    supplies a domain-backed implementation. Sharding never applies to
-    rounds with Byzantine senders or link faults (those are per-recipient
-    anyway), and outcomes are byte-identical at any shard count because
-    recv draws only from per-node RNG streams. *)
+(** Delivery sharding (DESIGN.md §10). In a benign dense broadcast round
+    every live recipient reads the same shared message plane, so their
+    [recv] steps are independent and the engine can split them across
+    [s_shards] contiguous node ranges: it builds one thunk per shard and
+    hands the array to [s_run], which must run every thunk to completion
+    before returning (in any order, on any domain). Per lint rule D007 the
+    engine never spawns domains itself —
+    [Ba_harness.Parallel.delivery_sharder] supplies a domain-backed
+    implementation. The restricted-topology arm shards its recv steps the
+    same way once its inbox is built. Dense rounds with Byzantine senders
+    or link faults never shard: each recipient's overlay is built from
+    [byz_msg] and [Faults.deliver] calls whose global order is part of the
+    outcome, and the patch buffers are reused recipient by recipient.
+    Outcomes are byte-identical at any shard count because recv draws only
+    from per-node RNG streams. *)
 type sharder = { s_shards : int; s_run : (unit -> unit) array -> unit }
 
 (** Runs the thunks in order on the calling domain — the default. *)

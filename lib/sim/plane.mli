@@ -1,26 +1,37 @@
 (** Batched message plane: one round's deliveries as seen by a recipient
     (DESIGN.md section 10).
 
-    In a benign broadcast round every live recipient's inbox is identical,
-    so the engine builds a single {e shared} plane over the honest broadcast
-    slab: payloads are packed once into a reusable flat [int] code array and
-    the dominant aggregations ({!vote_counts}, {!signed_sum}) are memoized
-    across recipients — an all-to-all round costs O(n) instead of O(n^2)
-    for tally-style protocols. Rounds touched by Byzantine senders or link
-    faults fall back to per-recipient {e solo} planes over patched copies of
-    the slab, preserving per-link delivery semantics (and RNG draw order)
-    exactly.
+    The engine hands [Protocol.recv] one of three representations:
 
-    Under a restricted {!Topology} (sampled or committee links) a
-    recipient's inbox is instead a {e sparse slice}: the sorted list of
-    senders whose per-round recipient set contained it, with packed codes
-    and boxed payloads stored per delivery, in the engine's reused CSR
-    arrays. Tally kernels on a slice cost O(in-degree) rather than O(n) —
-    the sublinear-communication plane of DESIGN.md §13.
+    - {e shared}: in a benign dense broadcast round every live recipient's
+      inbox is the honest broadcast slab, so the engine builds one plane
+      over it. Payloads are packed once into a reusable flat [int] code
+      array and the dominant aggregations ({!vote_counts}, {!signed_sum})
+      are memoized across recipients, so an all-to-all round costs O(n)
+      instead of O(n^2) for tally-style protocols.
+    - {e overlay}: a dense round touched by Byzantine senders or link
+      faults gives each recipient the round's shared plane as a {e base}
+      plus a sorted patch list of [(src, code, payload)]: the Byzantine
+      senders' payloads for that recipient and the links a fault rewrote.
+      Kernels start from the base's memoized answer, remove the base codes
+      at the patched sources and add the patch codes, so a recipient costs
+      O(#patches) instead of O(n). Per-link delivery semantics (and RNG
+      draw order) are those of the per-link loop exactly.
+    - {e sparse slice}: under a restricted {!Topology} (sampled or
+      committee links) a recipient's inbox is the sorted list of senders
+      whose per-round recipient set contained it, with packed codes and
+      boxed payloads stored per delivery in the engine's reused CSR
+      arrays. Tally kernels on a slice cost O(in-degree) rather than O(n),
+      the sublinear-communication plane of DESIGN.md §13.
+
+    A {e solo} flat plane ({!of_array}) over a caller-owned array derives
+    codes on the fly and memoizes nothing. The engine does not build it;
+    it is the plainly-correct plane of the reference oracles and of the
+    exhaustive verifier.
 
     Lifetime: every plane the engine hands to [Protocol.recv] is valid
     only during that call; its arrays are shared with other recipients or
-    reused by the next round. Keep payloads, never the plane.
+    reused by the next recipient or round. Keep payloads, never the plane.
 
     A protocol opts into the packed kernels by providing a
     [Protocol.t.codec] built from {!code}; protocols with payloads that
@@ -52,7 +63,9 @@ val code : phase:int -> sub:int -> decided:bool -> vote:int -> flip:int option -
 (** {1 Construction (engine side)} *)
 
 (** [of_array ?encode data] — a solo plane owning [data] (not copied).
-    Kernels derive codes on the fly through [encode]. *)
+    Kernels derive codes on the fly through [encode] and nothing is
+    memoized: the reference plane for oracles and the exhaustive
+    verifier. *)
 val of_array : ?encode:('msg -> int) -> 'msg option array -> 'msg t
 
 (** [shared ?encode ~slab data] — a shared plane: codes are packed into
@@ -60,6 +73,22 @@ val of_array : ?encode:('msg -> int) -> 'msg option array -> 'msg t
     results are memoized. The caller must not mutate [data] or [slab] while
     any recipient can still read the plane. *)
 val shared : ?encode:('msg -> int) -> slab:int array -> 'msg option array -> 'msg t
+
+(** [overlay base ~srcs ~codes ~msgs ~len] — [base] with the first [len]
+    entries of the parallel patch arrays laid over it: slot [srcs.(k)]
+    holds [msgs.(k)], whose packed code is [codes.(k)] ([absent] for
+    [None]; unread when the base has no codec). [srcs] must be strictly
+    ascending within [\[0, len)]. Nothing is copied: the engine allocates
+    the patch arrays once per run and refills them for every recipient, so
+    an overlay is valid only during the [Protocol.recv] call it is handed
+    to. Kernels answer from [base]'s memo (filling it on a miss) and
+    adjust for the patched sources in O([len]); the overlay itself
+    memoizes nothing. {!get} binary-searches the patches before reading
+    the base; {!iteri} and {!to_array} merge the two.
+    @raise Invalid_argument if [base] is not a flat plane or [len] exceeds
+    an array. *)
+val overlay :
+  'msg t -> srcs:int array -> codes:int array -> msgs:'msg option array -> len:int -> 'msg t
 
 (** [sparse_slice ?codes ~n ~srcs ~msgs ~lo ~hi ()] — a per-recipient plane
     over the slice [lo, hi) of parallel delivery arrays: [srcs.(k)] is the
@@ -85,8 +114,8 @@ val sparse_slice :
   'msg t
 
 (** [shard_view t] — a view sharing [t]'s payloads and codes but with its
-    own memo cache, so concurrent recipients on different domains never
-    touch the same mutable cell. *)
+    own memo cache (for an overlay: its base's), so concurrent recipients
+    on different domains never touch the same mutable cell. *)
 val shard_view : 'msg t -> 'msg t
 
 (** {1 Boxed access (protocol side)} *)
@@ -98,8 +127,9 @@ val length : _ t -> int
     [get t me] is the node's own broadcast. *)
 val get : 'msg t -> int -> 'msg option
 
-(** On a flat plane, visits every slot (with [None] for absent). On a
-    sparse slice, visits only delivered slots, ascending by sender. *)
+(** On a flat plane or an overlay, visits every slot (with [None] for
+    absent). On a sparse slice, visits only delivered slots, ascending by
+    sender. *)
 val iteri : (int -> 'msg option -> unit) -> 'msg t -> unit
 
 val to_array : 'msg t -> 'msg option array
@@ -118,5 +148,6 @@ val vote_counts : 'msg t -> phase:int -> sub:int -> decided_only:bool -> int * i
     plane the result is memoized under the [(phase, sub)] key, so for a
     given plane all callers passing equal [(phase, sub)] must pass an
     equivalent [members] predicate (true of the round-synchronous protocols
-    here: membership is a function of the phase). *)
+    here: membership is a function of the phase). Overlays share their
+    base's memo, so the requirement spans every overlay of one base. *)
 val signed_sum : 'msg t -> phase:int -> sub:int -> members:(int -> bool) -> int

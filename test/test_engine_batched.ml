@@ -104,6 +104,60 @@ let test_kernels_vs_naive () =
       (Ba_sim.Plane.shared ~encode:Skeleton.msg_code ~slab data)
   done
 
+(* Random sorted patches over [n] sources, laid into buffers longer than
+   the patch count (the tail holds junk the overlay must not read), plus
+   the materialized inbox they describe. *)
+let random_overlay rng base ~slab =
+  let n = Array.length base in
+  let cap = n + 3 in
+  let srcs = Array.make cap (n - 1) in
+  let codes = Array.make cap (Skeleton.msg_code (random_msg rng)) in
+  let msgs = Array.make cap (Some (random_msg rng)) in
+  let data = Array.copy base in
+  let len = ref 0 in
+  for v = 0 to n - 1 do
+    if Ba_prng.Rng.int rng 3 = 0 then begin
+      let m = if Ba_prng.Rng.int rng 4 = 0 then None else Some (random_msg rng) in
+      srcs.(!len) <- v;
+      codes.(!len) <-
+        (match m with None -> Ba_sim.Plane.absent | Some m -> Skeleton.msg_code m);
+      msgs.(!len) <- m;
+      data.(v) <- m;
+      incr len
+    end
+  done;
+  let plane = Ba_sim.Plane.shared ~encode:Skeleton.msg_code ~slab base in
+  (plane, Ba_sim.Plane.overlay plane ~srcs ~codes ~msgs ~len:!len, data)
+
+let check_boxed_access data plane =
+  let n = Array.length data in
+  Alcotest.(check int) "length" n (Ba_sim.Plane.length plane);
+  for v = 0 to n - 1 do
+    Alcotest.(check bool) (Printf.sprintf "get %d" v) true (Ba_sim.Plane.get plane v = data.(v))
+  done;
+  let seen = ref [] in
+  Ba_sim.Plane.iteri (fun v m -> seen := (v, m) :: !seen) plane;
+  Alcotest.(check bool) "iteri visits every slot in order" true
+    (List.rev !seen = List.init n (fun v -> (v, data.(v))));
+  Alcotest.(check bool) "to_array" true (Ba_sim.Plane.to_array plane = data)
+
+let test_overlay_vs_naive () =
+  let rng = Ba_prng.Rng.create 0x0E7A1L in
+  let slab = Array.make 64 Ba_sim.Plane.absent in
+  for _trial = 1 to 60 do
+    let n = 1 + Ba_prng.Rng.int rng 64 in
+    let base = random_inbox rng n in
+    let plane, overlay, data = random_overlay rng base ~slab in
+    check_one_inbox data overlay;
+    check_boxed_access data overlay;
+    (* the overlay filled the base's memo; its answers are still the
+       base's own *)
+    check_one_inbox base plane;
+    check_boxed_access base plane;
+    (* and a second overlay over the same warmed base still agrees *)
+    check_one_inbox data overlay
+  done
+
 let test_kernels_memoized_repeat () =
   (* Repeated identical queries hit the memo on shared planes; the answer
      must not change. *)
@@ -192,7 +246,8 @@ let () =
         [ Alcotest.test_case "kernels vs naive on adversarial inboxes" `Quick
             test_kernels_vs_naive;
           Alcotest.test_case "memoized queries are stable" `Quick
-            test_kernels_memoized_repeat ] );
+            test_kernels_memoized_repeat;
+          Alcotest.test_case "overlay vs materialized inbox" `Quick test_overlay_vs_naive ] );
       ( "shard determinism",
         [ Alcotest.test_case "outcomes identical at domains 1/2/4" `Quick
             test_engine_across_domains;

@@ -1,20 +1,26 @@
-(* Differential test of the engine's restricted-topology arm (DESIGN.md §13)
-   against a deliberately naive per-link reference.
+(* Differential test of the engine's delivery arms against a deliberately
+   naive per-link reference.
 
    The engine builds each sampled round as a two-pass CSR inbox over buffers
-   reused across rounds, encodes each honest payload once per sender and
-   meters honest broadcasts in bulk. The reference below is the list-based
-   inbox builder the engine used before that rewrite, inside a plain round
-   loop: it pushes one (src, payload) pair per link onto per-recipient
-   lists, meters every link on its own, and hands each recipient a dense
-   [Plane.of_array] inbox whose codes are derived on the fly — no packed
-   code arrays, no shared buffers, no sharding. Both must agree on the run
-   outcome, the metrics and every recipient's inbox in every round. *)
+   reused across rounds (DESIGN.md §13), and each dense round as one shared,
+   memoized plane that patched rounds overlay per recipient (DESIGN.md §10);
+   it encodes each honest payload once per round and meters honest
+   broadcasts in bulk. The reference below keeps none of that. Inside a
+   plain round loop it delivers link by link, meters every link on its own,
+   and hands each recipient a fresh [Plane.of_array] inbox whose codes are
+   derived on the fly: no packed code arrays, no shared plane, no memo, no
+   sharding. Its link order is the engine's draw order for [byz_msg] and
+   [Faults.deliver]: senders ascending, then recipients ascending, on a
+   restricted topology; recipients ascending, then senders ascending, on
+   the dense plane. Both must agree on the run outcome, the metrics and
+   every recipient's inbox in every round. *)
 
 open Ba_sim
 module Ks = Ba_sparse.Ks_agreement
 module Wb = Ba_sparse.Word_budget
 module Sm = Ba_baselines.Sampling_majority
+module Sk = Ba_core.Skeleton
+module Pk = Ba_baselines.Phase_king
 
 let reference_run ?faults ~topology ~(protocol : ('s, 'm) Protocol.t)
     ~(adversary : ('s, 'm) Adversary.t) ~n ~t ~inputs ~seed ~max_rounds () =
@@ -23,7 +29,9 @@ let reference_run ?faults ~topology ~(protocol : ('s, 'm) Protocol.t)
     | Some plan when not (Faults.is_none plan) -> Some (Faults.instantiate plan ~n ~seed)
     | Some _ | None -> None
   in
-  let ti = Topology.instantiate topology ~n ~seed in
+  let ti =
+    if Topology.is_dense topology then None else Some (Topology.instantiate topology ~n ~seed)
+  in
   let node_rngs = Ba_prng.Rng.split_n (Ba_prng.Rng.create seed) n in
   let ctx_of v = { Protocol.n; t; me = v; rng = node_rngs.(v) } in
   let states = Array.init n (fun v -> protocol.init (ctx_of v) ~input:inputs.(v)) in
@@ -68,7 +76,6 @@ let reference_run ?faults ~topology ~(protocol : ('s, 'm) Protocol.t)
           honest.(v) <- None
         end)
       action.corrupt;
-    (* per-link delivery, senders and recipients ascending *)
     let inboxes = Array.make n [] in
     let link ~src ~dst ~byzantine raw =
       let m =
@@ -82,20 +89,38 @@ let reference_run ?faults ~topology ~(protocol : ('s, 'm) Protocol.t)
           inboxes.(dst) <- (src, p) :: inboxes.(dst))
         m
     in
-    for v = 0 to n - 1 do
-      let rs = Topology.recipients ti ~round:r ~src:v in
-      if corrupted.(v) then
-        Array.iter
-          (fun u ->
-            if live u then link ~src:v ~dst:u ~byzantine:true (action.byz_msg ~src:v ~dst:u))
-          rs
-      else if live v then
-        Option.iter
-          (fun p ->
-            inboxes.(v) <- (v, p) :: inboxes.(v);
-            Array.iter (fun u -> if live u then link ~src:v ~dst:u ~byzantine:false (Some p)) rs)
-          honest.(v)
-    done;
+    (match ti with
+    | None ->
+        (* dense: recipients ascending, then senders ascending; every link
+           goes through the fault model, a silent sender's too (a stale
+           duplicate may still arrive) *)
+        for u = 0 to n - 1 do
+          if live u then
+            for v = 0 to n - 1 do
+              if v = u then Option.iter (fun p -> inboxes.(u) <- (u, p) :: inboxes.(u)) honest.(u)
+              else if corrupted.(v) then
+                link ~src:v ~dst:u ~byzantine:true (action.byz_msg ~src:v ~dst:u)
+              else link ~src:v ~dst:u ~byzantine:false honest.(v)
+            done
+        done
+    | Some ti ->
+        (* restricted: senders ascending, then their sampled recipients *)
+        for v = 0 to n - 1 do
+          let rs = Topology.recipients ti ~round:r ~src:v in
+          if corrupted.(v) then
+            Array.iter
+              (fun u ->
+                if live u then link ~src:v ~dst:u ~byzantine:true (action.byz_msg ~src:v ~dst:u))
+              rs
+          else if live v then
+            Option.iter
+              (fun p ->
+                inboxes.(v) <- (v, p) :: inboxes.(v);
+                Array.iter
+                  (fun u -> if live u then link ~src:v ~dst:u ~byzantine:false (Some p))
+                  rs)
+              honest.(v)
+        done);
     let next = Array.copy states in
     for u = 0 to n - 1 do
       if live u then begin
@@ -120,11 +145,12 @@ let reference_run ?faults ~topology ~(protocol : ('s, 'm) Protocol.t)
 (* ---------------- inbox logging ---------------- *)
 
 (* What one recipient saw in one round: its delivered (src, payload) pairs
-   ascending, plus — under a codec — the tally kernels' view of the packed
-   codes. *)
+   ascending, as [iteri] and as [get] report them, plus — under a codec —
+   the tally kernels' view of the packed codes. *)
 type 'm seen = {
   round : int;
   deliveries : (int * 'm) list;
+  by_get : (int * 'm) list;
   tallies : ((int * int) * (int * int)) option;
 }
 
@@ -142,8 +168,13 @@ let logged (p : ('s, 'm) Protocol.t) ~n =
             Plane.vote_counts inbox ~phase:round ~sub:0 ~decided_only:true ))
         p.codec
     in
+    let by_get =
+      List.filter_map
+        (fun v -> Option.map (fun m -> (v, m)) (Plane.get inbox v))
+        (List.init (Plane.length inbox) Fun.id)
+    in
     let me = ctx.Protocol.me in
-    log.(me) <- { round; deliveries = List.rev !deliveries; tallies } :: log.(me);
+    log.(me) <- { round; deliveries = List.rev !deliveries; by_get; tallies } :: log.(me);
     p.recv ctx st ~round ~inbox
   in
   ({ p with recv }, log)
@@ -159,9 +190,12 @@ let max_rounds = 40
 let inputs = Array.init n (fun v -> v mod 2)
 
 (* Corrupts two nodes in round 1 and asks for three more in round 3 (the
-   budget clamps that to two), then equivocates per destination and stays
-   silent on some links. *)
-let per_destination () : (_, Ks.msg) Adversary.t =
+   budget clamps that to two), then equivocates per destination with the
+   payloads [byz] builds and stays silent on some links. Which links go
+   silent depends on how many [byz_msg] calls came before, so the run
+   depends on the engine's call order, as a randomized adversary's does. *)
+let equivocating byz () : (_, _) Adversary.t =
+  let calls = ref 0 in
   { adv_name = "per-destination";
     act =
       (fun view ->
@@ -169,11 +203,15 @@ let per_destination () : (_, Ks.msg) Adversary.t =
             (match view.round with 1 -> [ 1; 4 ] | 3 -> [ 7; 2; 9 ] | _ -> []);
           byz_msg =
             (fun ~src ~dst ->
-              if (src + dst + view.round) mod 5 = 0 then None
-              else
-                Some
-                  { Ks.g_round = view.round; g_val = dst mod 2;
-                    g_decided = (src * dst) mod 3 = 0 }) }) }
+              incr calls;
+              if (src + dst + view.round + !calls) mod 5 = 0 then None
+              else Some (byz ~round:view.round ~src ~dst)) }) }
+
+let per_destination () =
+  equivocating
+    (fun ~round ~src ~dst ->
+      { Ks.g_round = round; g_val = dst mod 2; g_decided = (src * dst) mod 3 = 0 })
+    ()
 
 let flip_ks _rng (m : Ks.msg) = { m with Ks.g_val = 1 - m.Ks.g_val }
 
@@ -271,9 +309,59 @@ let test_codecless () =
         seeds)
     topologies
 
+(* ---------------- the dense plane ---------------- *)
+
+let alg3 = Ba_core.Agreement.make ~n ~t ()
+
+(* Headers of the current sub-round, so they land in the tallies: split
+   votes, some non-binary, and a flip on every coin-round link. *)
+let skeleton_equivocating =
+  equivocating (fun ~round ~src ~dst ->
+      let m_phase, m_sub = Sk.phase_of_round alg3.config ~round in
+      { Sk.m_phase; m_sub;
+        m_val = (if dst mod 7 = 0 then 7 else dst mod 2);
+        m_decided = (src * dst) mod 3 = 0;
+        m_flip = Some (if (src + dst) mod 2 = 0 then 1 else -1) })
+
+let flip_sk _rng (m : Sk.msg) = { m with Sk.m_val = 1 - m.Sk.m_val }
+
+(* Phase King reads its king's slot with [Plane.get]; nodes 1, 2 and 4 are
+   kings of phases 2, 3 and 5, so a corrupted king equivocates. *)
+let king_equivocating =
+  equivocating (fun ~round ~src:_ ~dst ->
+      { Pk.pk_phase = ((round - 1) / 2) + 1; pk_king = round mod 2 = 0; pk_val = dst mod 2 })
+
+let flip_pk _rng (m : Pk.msg) = { m with Pk.pk_val = 1 - m.Pk.pk_val }
+
+let test_dense_alg3 () =
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun (label, adversary, faults) ->
+          check_case ~label:("alg3 " ^ label) ~protocol:alg3.protocol ~adversary ~faults
+            ~topology:Topology.Dense ~seed)
+        [ ("silent", (fun () -> Adversary.silent), None);
+          ("per-destination", skeleton_equivocating, None);
+          ("silent faulty", (fun () -> Adversary.silent), Some (faulty flip_sk));
+          ("per-destination faulty", skeleton_equivocating, Some (faulty flip_sk)) ])
+    seeds
+
+let test_dense_phase_king () =
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun (label, faults) ->
+          check_case ~label:("phase-king " ^ label) ~protocol:(Pk.make ~n ~t)
+            ~adversary:king_equivocating ~faults ~topology:Topology.Dense ~seed)
+        [ ("per-destination", None); ("per-destination faulty", Some (faulty flip_pk)) ])
+    seeds
+
 let () =
   Alcotest.run "ba_sparse_reference"
     [ ( "csr arm vs per-link reference",
         [ Alcotest.test_case "ks-sample" `Quick test_ks;
           Alcotest.test_case "word-budget" `Quick test_word_budget;
-          Alcotest.test_case "codec-less protocol" `Quick test_codecless ] ) ]
+          Alcotest.test_case "codec-less protocol" `Quick test_codecless ] );
+      ( "dense arms vs per-link reference",
+        [ Alcotest.test_case "alg3" `Quick test_dense_alg3;
+          Alcotest.test_case "phase-king" `Quick test_dense_phase_king ] ) ]
