@@ -362,6 +362,6 @@ let () =
         [ Alcotest.test_case "ks-sample" `Quick test_ks;
           Alcotest.test_case "word-budget" `Quick test_word_budget;
           Alcotest.test_case "codec-less protocol" `Quick test_codecless ] );
-      ( "dense arms vs per-link reference",
+      ( "dense vs per-link reference",
         [ Alcotest.test_case "alg3" `Quick test_dense_alg3;
           Alcotest.test_case "phase-king" `Quick test_dense_phase_king ] ) ]
